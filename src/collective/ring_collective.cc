@@ -6,7 +6,6 @@
 #include "collective/ring_collective.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "sim/causal.hh"
@@ -167,35 +166,35 @@ CollectiveEngine::launchOn(const std::vector<const RingPath *> &rings,
 
     for (const RingPath *ring : rings) {
         const int root_stage = std::max(ring->stageOfDevice(root), 0);
-        runOnRing(*ring, kind, share, root_stage, ring_done);
+        runOnRing(*ring, kind, share, root_stage,
+                  [ring_done] { (*ring_done)(); });
     }
 }
 
 void
 CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
                             double bytes, int root_stage,
-                            const std::shared_ptr<Handler> &ring_done)
+                            Handler ring_done)
 {
     const int stages = ring.stageCount();
     if (stages < 2 || bytes <= 0.0) {
-        eventQueue().scheduleAfter(0, [ring_done] { (*ring_done)(); },
+        eventQueue().scheduleAfter(0, std::move(ring_done),
                                    name() + ".trivial_ring");
         return;
     }
 
     // When tracing, wrap the per-ring completion in a span emitter:
     // one "rings"-track span per logical ring per operation.
-    std::shared_ptr<Handler> completion = ring_done;
     if (_trace) {
         const Tick launched = now();
-        const std::string label = std::string(collectiveKindName(kind))
+        std::string label = std::string(collectiveKindName(kind))
             + " ring x" + std::to_string(stages);
-        completion = std::make_shared<Handler>(
-            [this, launched, label, ring_done] {
-                _trace->addSpan("collective", "rings", label, launched,
-                                now() - launched, "sync");
-                (*ring_done)();
-            });
+        ring_done = [this, launched, label = std::move(label),
+                     next = std::move(ring_done)] {
+            _trace->addSpan("collective", "rings", label, launched,
+                            now() - launched, "sync");
+            next();
+        };
     }
 
     int blocks = 0;
@@ -220,47 +219,25 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
         break;
     }
 
-    const auto chunks_per_block = static_cast<std::uint64_t>(
-        std::ceil(block_bytes / _cfg.chunkBytes));
-    auto outstanding = std::make_shared<std::uint64_t>(
-        static_cast<std::uint64_t>(blocks) * chunks_per_block);
-
+    // Each block travels `hops` consecutive ring legs from its start
+    // stage; store-and-forward across leg boundaries is the same as
+    // within a leg, so the legs concatenate into one route per block
+    // and the whole ring share becomes one pooled flow with one join.
+    _blockRoutes.resize(static_cast<std::size_t>(blocks));
     for (int b = 0; b < blocks; ++b) {
         const int start =
             (kind == CollectiveKind::Broadcast) ? root_stage : b;
-        double left = block_bytes;
-        for (std::uint64_t c = 0; c < chunks_per_block; ++c) {
-            const double this_chunk = std::min(_cfg.chunkBytes, left);
-            left -= this_chunk;
-            forwardChunk(ring, start, hops, this_chunk, outstanding,
-                         completion);
+        std::vector<Channel *> &route =
+            _blockRoutes[static_cast<std::size_t>(b)].hops;
+        route.clear();
+        for (int k = 0; k < hops; ++k) {
+            const Route &leg =
+                ring.hops[static_cast<std::size_t>((start + k) % stages)];
+            route.insert(route.end(), leg.hops.begin(), leg.hops.end());
         }
     }
-}
-
-void
-CollectiveEngine::forwardChunk(const RingPath &ring, int stage,
-                               int hops_remaining, double bytes,
-                               std::shared_ptr<std::uint64_t> outstanding,
-                               std::shared_ptr<Handler> done)
-{
-    const Route &route =
-        ring.hops[static_cast<std::size_t>(stage)
-                  % ring.hops.size()];
-    sendChunk(route, bytes,
-              [this, &ring, stage, hops_remaining, bytes,
-               outstanding = std::move(outstanding),
-               done = std::move(done)]() mutable {
-                  if (hops_remaining > 1) {
-                      forwardChunk(ring,
-                                   (stage + 1) % ring.stageCount(),
-                                   hops_remaining - 1, bytes,
-                                   std::move(outstanding),
-                                   std::move(done));
-                  } else if (--*outstanding == 0) {
-                      (*done)();
-                  }
-              });
+    sendBlocks(_blockRoutes, block_bytes, _cfg.chunkBytes,
+               std::move(ring_done));
 }
 
 std::vector<CollectiveEngine::Round>
@@ -420,15 +397,11 @@ CollectiveEngine::runTreeLike(const std::vector<int> &devices,
         merge(broadcastRounds(size), *intra_bcast);
     }
 
-    auto ring = std::make_shared<RingPath>(leaderRing(leaders));
-    auto run_leader_phase = [this, ring, kind,
+    // The leader ring is read only when its phase launches (runOnRing
+    // copies its legs into the pooled flow), so the phase owns it.
+    auto run_leader_phase = [this, ring = leaderRing(leaders), kind,
                              bytes](Handler next) {
-        // The shared_ptr rides in the completion handler — it is the
-        // last reference dropped, keeping the embedded ring alive
-        // while chunks are in flight.
-        auto ring_done = std::make_shared<Handler>(
-            [ring, next = std::move(next)] { next(); });
-        runOnRing(*ring, kind, bytes, /*root_stage=*/0, ring_done);
+        runOnRing(ring, kind, bytes, /*root_stage=*/0, std::move(next));
     };
 
     switch (kind) {

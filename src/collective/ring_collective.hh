@@ -128,7 +128,7 @@ class CollectiveEngine : public SimObject
      * Launch a collective on an explicit ring set instead of the
      * fabric's full rings — the cluster path for jobs owning a subset
      * of the devices (rings built with restrictRingToDevices). The
-     * rings must outlive the operation; chunk traffic shares the
+     * rings are only read during the call; chunk traffic shares the
      * fabric's channels, so co-located jobs contend.
      */
     void launchOn(const std::vector<const RingPath *> &rings,
@@ -158,10 +158,13 @@ class CollectiveEngine : public SimObject
     /** One barrier-synchronized transfer round: (src, dst) devices. */
     using Round = std::vector<std::pair<int, int>>;
 
-    /** Run one ring's share of an operation. */
+    /**
+     * Run one ring's share of an operation as a single pooled flow
+     * (sendBlocks): one route per block, concatenating the ring legs
+     * the block travels. Fires @p ring_done when every block lands.
+     */
     void runOnRing(const RingPath &ring, CollectiveKind kind,
-                   double bytes, int root_stage,
-                   const std::shared_ptr<Handler> &ring_done);
+                   double bytes, int root_stage, Handler ring_done);
 
     /** Dispatch a tree/hierarchical operation over @p devices. */
     void runTreeLike(const std::vector<int> &devices,
@@ -189,17 +192,10 @@ class CollectiveEngine : public SimObject
      */
     RingPath leaderRing(const std::vector<int> &leaders) const;
 
-    /**
-     * Forward one chunk @p hops_remaining hops starting at @p stage,
-     * decrementing @p outstanding and firing @p done at zero.
-     */
-    void forwardChunk(const RingPath &ring, int stage, int hops_remaining,
-                      double bytes,
-                      std::shared_ptr<std::uint64_t> outstanding,
-                      std::shared_ptr<Handler> done);
-
     const Fabric &_fabric;
     std::vector<const RingPath *> _rings;
+    /** runOnRing's per-block route scratch (capacity recycled). */
+    std::vector<Route> _blockRoutes;
     CollectiveConfig _cfg;
     double _bytesLaunched = 0.0;
     std::uint64_t _opsCompleted = 0;

@@ -17,20 +17,20 @@ namespace mcdla
 Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
                  Tick latency)
     : SimObject(eq, std::move(name)), _bandwidth(bandwidth),
-      _latency(latency)
+      _latency(latency),
+      _statBytes(stats().scalar("bytes", "payload bytes delivered")),
+      _statTransfers(stats().scalar("transfers", "transfer count"))
 {
     if (bandwidth <= 0.0)
         fatal("channel '%s' requires positive bandwidth",
               this->name().c_str());
-    stats().scalar("bytes", "payload bytes delivered");
-    stats().scalar("transfers", "transfer count");
     stats().formula("busy_seconds",
                     [this] { return ticksToSeconds(_busyTicks); },
                     "occupied time");
 }
 
-void
-Channel::pushQueue(Pending pending)
+Channel::Pending &
+Channel::pushQueue()
 {
     if (_queueCount == _queue.size()) {
         // Full (or never allocated): regrow to the next power of two,
@@ -42,31 +42,23 @@ Channel::pushQueue(Pending pending)
         _queue.swap(grown);
         _queueHead = 0;
     }
-    _queue[(_queueHead + _queueCount) & (_queue.size() - 1)] =
-        std::move(pending);
-    ++_queueCount;
-}
-
-Channel::Pending
-Channel::popQueue()
-{
-    Pending req = std::move(_queue[_queueHead]);
-    _queueHead = (_queueHead + 1) & (_queue.size() - 1);
-    --_queueCount;
-    return req;
+    return queuedAt(_queueCount++);
 }
 
 void
-Channel::submit(double bytes, Handler on_delivered)
+Channel::submit(double bytes, Handler &&on_delivered)
 {
     if (bytes <= 0.0)
         panic("channel '%s': non-positive transfer size", name().c_str());
     _conservedEnqueued += bytes;
     _conservedQueued += bytes;
-    Pending pending{bytes, std::move(on_delivered), _busy, 0};
+    Pending &pending = pushQueue();
+    pending.bytes = bytes;
+    pending.onDelivered = std::move(on_delivered);
+    pending.waited = _busy;
+    pending.causalCtx = 0;
     if (const CausalRecorder *rec = eventQueue().causalRecorder())
         pending.causalCtx = rec->currentCtxRaw();
-    pushQueue(std::move(pending));
     if (simcheck::enabled())
         simcheckVerifyConservation();
     // Only count genuine waiters: on an idle channel the transfer
@@ -85,49 +77,56 @@ Channel::startNext()
         return;
     }
     _busy = true;
-    Pending req = popQueue();
-    _conservedQueued -= req.bytes;
-    _conservedWire += req.bytes;
+    _inflight = std::move(_queue[_queueHead]);
+    _queueHead = (_queueHead + 1) & (_queue.size() - 1);
+    --_queueCount;
+    const double bytes = _inflight.bytes;
+    _conservedQueued -= bytes;
+    _conservedWire += bytes;
 
-    const Tick occupancy = transferTicks(req.bytes, _bandwidth);
+    const Tick occupancy = transferTicks(bytes, _bandwidth);
     _busyTicks += occupancy;
-    _bytesTransferred += req.bytes;
-    stats().scalar("bytes") += req.bytes;
-    ++stats().scalar("transfers");
+    _bytesTransferred += bytes;
+    _statBytes += bytes;
+    ++_statTransfers;
 
-    const double bytes = req.bytes;
-    Handler handler = std::move(req.onDelivered);
     // Causal tagging: the occupancy edge is chan_xfer (idle start) or
     // chan_queue (started after queueing), in the subsystem context
     // the transfer was submitted under; the post-occupancy delivery
     // hop is a wire edge inheriting its parent's context.
     CausalScope occupancy_scope(
         eventQueue().causalRecorder(),
-        req.waited ? WaitKind::ChanQueue : WaitKind::ChanXfer,
-        CausalRecorder::ctxFromRaw(req.causalCtx), name());
-    after(occupancy,
-          [this, bytes, handler = std::move(handler)]() mutable {
-              _conservedWire -= bytes;
-              _conservedDelivered += bytes;
-              if (simcheck::enabled())
-                  simcheckVerifyConservation();
-              recordWindowBytes(now(), bytes);
-              // Wire latency delays delivery but not the next transfer.
-              if (handler) {
-                  if (_latency == 0) {
-                      handler();
-                  } else {
-                      CausalScope wire_scope(
-                          eventQueue().causalRecorder(),
-                          WaitKind::Wire, name());
-                      eventQueue().scheduleAfter(
-                          _latency, std::move(handler),
-                          EventLabel::dotted(name(), "deliver"));
-                  }
-              }
-              startNext();
-          },
-          "xfer_done");
+        _inflight.waited ? WaitKind::ChanQueue : WaitKind::ChanXfer,
+        CausalRecorder::ctxFromRaw(_inflight.causalCtx), name());
+    after(occupancy, [this] { finishTransfer(); }, "xfer_done");
+}
+
+void
+Channel::finishTransfer()
+{
+    const double bytes = _inflight.bytes;
+    _conservedWire -= bytes;
+    _conservedDelivered += bytes;
+    if (simcheck::enabled())
+        simcheckVerifyConservation();
+    recordWindowBytes(now(), bytes);
+    // Wire latency delays delivery but not the next transfer. The
+    // channel stays busy while a zero-latency handler runs, so a
+    // handler that re-submits here queues behind the existing
+    // waiters and never touches the in-flight slot.
+    if (_inflight.onDelivered) {
+        if (_latency == 0) {
+            _inflight.onDelivered();
+            _inflight.onDelivered = nullptr;
+        } else {
+            CausalScope wire_scope(eventQueue().causalRecorder(),
+                                   WaitKind::Wire, name());
+            eventQueue().scheduleAfter(
+                _latency, std::move(_inflight.onDelivered),
+                EventLabel::dotted(name(), "deliver"));
+        }
+    }
+    startNext();
 }
 
 void

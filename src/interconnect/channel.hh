@@ -33,8 +33,8 @@ class Channel : public SimObject
      * Delivery callback: SBO, move-only. 24 inline bytes fit the flow
      * layer's chunk-forwarding closure (state pointer, two indices, a
      * byte count) exactly, and the whole Handler in turn fits inside
-     * the channel's own xfer_done event without spilling the kernel's
-     * inline callback buffer. Larger captures fall back to the heap.
+     * the kernel's inline callback buffer when a wire latency delays
+     * the delivery. Larger captures fall back to the heap.
      */
     using Handler = InlineFunction<24>;
 
@@ -55,9 +55,10 @@ class Channel : public SimObject
      *
      * @param bytes Payload size; must be positive.
      * @param on_delivered Invoked when the payload fully arrives at the
-     *                     far end (occupancy end + latency).
+     *                     far end (occupancy end + latency). Moved
+     *                     straight into the FIFO slot.
      */
-    void submit(double bytes, Handler on_delivered);
+    void submit(double bytes, Handler &&on_delivered);
 
     /** Total payload bytes delivered so far. */
     double bytesTransferred() const { return _bytesTransferred; }
@@ -105,6 +106,8 @@ class Channel : public SimObject
 
   private:
     void startNext();
+    /** The in-flight transfer's occupancy ended (the xfer_done event). */
+    void finishTransfer();
     void recordWindowBytes(Tick at, double bytes);
 
     struct Pending
@@ -134,18 +137,27 @@ class Channel : public SimObject
         return _queue[(_queueHead + i) & (_queue.size() - 1)];
     }
 
-    void pushQueue(Pending pending);
-    Pending popQueue();
+    /** Append an empty slot at the FIFO tail (growing the ring when
+        full) and return it for the caller to fill in place. */
+    Pending &pushQueue();
 
     double _bandwidth;
     Tick _latency;
     bool _busy = false;
+    /** The transfer occupying the wire (valid while _busy), so the
+        xfer_done event captures nothing but `this`. */
+    Pending _inflight;
     /** Waiting transfers: a power-of-two ring over a flat vector, so
         steady-state submit/deliver cycles recycle slots instead of
         paging deque blocks in and out of the allocator. */
     std::vector<Pending> _queue;
     std::size_t _queueHead = 0;
     std::size_t _queueCount = 0;
+
+    /** The "bytes"/"transfers" stats, resolved once at construction
+        (StatSet scalars are map nodes, so the references are stable). */
+    Scalar &_statBytes;
+    Scalar &_statTransfers;
 
     double _bytesTransferred = 0.0;
     Tick _busyTicks = 0;

@@ -25,7 +25,7 @@ namespace mcdla
 namespace
 {
 
-/** Pooled bookkeeping of one in-flight flow (or lone chunk). */
+/** Pooled bookkeeping of one in-flight flow. */
 struct FlowState
 {
     std::vector<Route> routes;
@@ -96,20 +96,20 @@ forwardChunk(FlowState *state, std::uint32_t route_index,
     });
 }
 
-} // anonymous namespace
-
-void
-sendChunk(const Route &route, double bytes,
-          std::function<void()> on_delivered)
+/** A pooled flow over @p routes that completes after @p chunks chunk
+    deliveries. */
+FlowState *
+openFlow(const std::vector<Route> &routes, std::uint64_t chunks,
+         std::function<void()> done)
 {
-    if (!route.valid())
-        panic("sendChunk: empty route");
     FlowState *state = flowPool().acquire();
-    state->routes.assign(1, route);
-    state->remaining = 1;
-    state->done = std::move(on_delivered);
-    forwardChunk(state, 0, 0, bytes);
+    state->routes.assign(routes.begin(), routes.end());
+    state->remaining = chunks;
+    state->done = std::move(done);
+    return state;
 }
+
+} // anonymous namespace
 
 void
 sendFlow(const std::vector<Route> &routes, double bytes,
@@ -127,10 +127,7 @@ sendFlow(const std::vector<Route> &routes, double bytes,
 
     const auto chunks = static_cast<std::uint64_t>(
         std::ceil(bytes / chunk_bytes));
-    FlowState *state = flowPool().acquire();
-    state->routes.assign(routes.begin(), routes.end());
-    state->remaining = chunks;
-    state->done = std::move(on_done);
+    FlowState *state = openFlow(routes, chunks, std::move(on_done));
 
     double left = bytes;
     for (std::uint64_t c = 0; c < chunks; ++c) {
@@ -139,6 +136,33 @@ sendFlow(const std::vector<Route> &routes, double bytes,
         forwardChunk(state,
                      static_cast<std::uint32_t>(c % routes.size()), 0,
                      this_chunk);
+    }
+}
+
+void
+sendBlocks(const std::vector<Route> &routes, double block_bytes,
+           double chunk_bytes, std::function<void()> on_done)
+{
+    if (routes.empty())
+        panic("sendBlocks: no blocks");
+    if (block_bytes <= 0.0 || chunk_bytes <= 0.0)
+        panic("sendBlocks: non-positive block or chunk size");
+    for (const Route &route : routes)
+        if (!route.valid())
+            panic("sendBlocks: empty route");
+
+    const auto chunks_per_block = static_cast<std::uint64_t>(
+        std::ceil(block_bytes / chunk_bytes));
+    FlowState *state = openFlow(routes, routes.size() * chunks_per_block,
+                                std::move(on_done));
+
+    for (std::uint32_t b = 0; b < routes.size(); ++b) {
+        double left = block_bytes;
+        for (std::uint64_t c = 0; c < chunks_per_block; ++c) {
+            const double this_chunk = std::min(chunk_bytes, left);
+            left -= this_chunk;
+            forwardChunk(state, b, 0, this_chunk);
+        }
     }
 }
 

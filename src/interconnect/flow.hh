@@ -6,8 +6,8 @@
  * flow moves a payload over one or more parallel routes in fixed-size
  * chunks (round-robin across routes), reporting a single completion when
  * the last chunk of the payload is delivered. This is the DMA abstraction
- * used for memory-virtualization traffic and the building block the ring
- * collectives are assembled from.
+ * used for memory-virtualization traffic, and — through sendBlocks — the
+ * one chunk-forwarding path the collectives ride as well.
  */
 
 #ifndef MCDLA_INTERCONNECT_FLOW_HH
@@ -33,16 +33,6 @@ struct Route
 constexpr double kDefaultChunkBytes = 512.0 * 1024.0;
 
 /**
- * Send one chunk through @p route (store-and-forward across hops).
- *
- * @param route Channel sequence; must be non-empty.
- * @param bytes Chunk size.
- * @param on_delivered Fires when the chunk exits the last hop.
- */
-void sendChunk(const Route &route, double bytes,
-               std::function<void()> on_delivered);
-
-/**
  * Transfer @p bytes over @p routes, chunked and round-robined.
  *
  * All chunks are enqueued immediately (channel FIFOs provide the
@@ -55,6 +45,23 @@ void sendChunk(const Route &route, double bytes,
  */
 void sendFlow(const std::vector<Route> &routes, double bytes,
               double chunk_bytes, std::function<void()> on_done);
+
+/**
+ * Transfer one equal-sized block per route: block b moves
+ * @p block_bytes over @p routes[b], chunked at @p chunk_bytes exactly
+ * like a single-route sendFlow. Chunks are issued block by block, and
+ * one completion fires when every chunk of every block has been
+ * delivered. This is how a ring collective moves its blocks: each
+ * block's route is the concatenation of the ring legs it travels.
+ *
+ * @param routes One non-empty route per block; copied, so the caller's
+ *        storage may be reused as soon as this returns.
+ * @param block_bytes Payload of each block (> 0).
+ * @param chunk_bytes Chunk granularity (> 0).
+ * @param on_done Completion callback (may be empty).
+ */
+void sendBlocks(const std::vector<Route> &routes, double block_bytes,
+                double chunk_bytes, std::function<void()> on_done);
 
 /** sendFlow with the default chunk size. */
 inline void

@@ -36,7 +36,7 @@ EventQueue::setBackend(EventQueueBackendKind kind)
 }
 
 EventId
-EventQueue::scheduleEntry(Tick when, Callback cb, EventLabel label,
+EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel label,
                           bool weak)
 {
     if (when < _now) {
@@ -84,13 +84,14 @@ EventQueue::scheduleEntry(Tick when, Callback cb, EventLabel label,
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb, EventLabel label)
+EventQueue::schedule(Tick when, Callback &&cb, EventLabel label)
 {
     return scheduleEntry(when, std::move(cb), std::move(label), false);
 }
 
 EventId
-EventQueue::scheduleWeak(Tick when, Callback cb, EventLabel label)
+EventQueue::scheduleWeak(Tick when, Callback &&cb,
+                         EventLabel label)
 {
     return scheduleEntry(when, std::move(cb), std::move(label), true);
 }

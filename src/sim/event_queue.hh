@@ -66,9 +66,10 @@ class EventQueue
   public:
     /**
      * Event callback: SBO, one cache line of inline capture. Sized so
-     * the hottest simulator event — a channel delivery capturing
-     * `this`, a byte count and a Channel::Handler — stays inline; a
-     * wrapped std::function (32 bytes) fits too.
+     * a delayed channel delivery (a Channel::Handler) and a wrapped
+     * std::function (32 bytes) stay inline. Every scheduling entry
+     * point takes it by rvalue reference, so a callback is relocated
+     * once — into its pooled slot — however many layers forward it.
      */
     using Callback = InlineFunction<56>;
 
@@ -102,11 +103,11 @@ class EventQueue
      * @param label Optional debug label (lazy; see event_label.hh).
      * @return A handle usable with deschedule().
      */
-    EventId schedule(Tick when, Callback cb, EventLabel label = {});
+    EventId schedule(Tick when, Callback &&cb, EventLabel label = {});
 
     /** Schedule a callback @p delta ticks in the future. */
     EventId
-    scheduleAfter(Tick delta, Callback cb, EventLabel label = {})
+    scheduleAfter(Tick delta, Callback &&cb, EventLabel label = {})
     {
         return schedule(_now + delta, std::move(cb),
                         std::move(label));
@@ -121,7 +122,8 @@ class EventQueue
      * event. This lets observers self-reschedule unconditionally
      * without wedging the drain or distorting makespans.
      */
-    EventId scheduleWeak(Tick when, Callback cb, EventLabel label = {});
+    EventId scheduleWeak(Tick when, Callback &&cb,
+                         EventLabel label = {});
 
     /**
      * Cancel a pending event.
@@ -247,7 +249,7 @@ class EventQueue
                | static_cast<EventId>(slot);
     }
 
-    EventId scheduleEntry(Tick when, Callback cb, EventLabel label,
+    EventId scheduleEntry(Tick when, Callback &&cb, EventLabel label,
                           bool weak);
 
     std::uint32_t allocSlot();

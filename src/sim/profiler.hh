@@ -121,12 +121,13 @@ class DesProfiler
         // Consecutive events very often share a label (chunked flows,
         // collective steps): memoize the last map entry so the common
         // case skips the tree lookup. std::map references are stable,
-        // so the cached pointer survives later insertions.
+        // so the cached pointer survives later insertions. The memo
+        // keys on the *raw* label and is assigned in place, so a miss
+        // reuses the key's buffer instead of building a string.
         if (_last == nullptr || label != _lastKey) {
-            _lastKey = label.empty() ? std::string("(unnamed)") : label;
-            _last = &_labels[_lastKey];
-            if (label.empty())
-                _lastKey.clear(); // memo keys on the *raw* label
+            _lastKey.assign(label);
+            _last = label.empty() ? &_labels["(unnamed)"]
+                                  : &_labels[_lastKey];
         }
         ++_last->count;
         _last->wallNs += wall_ns;
