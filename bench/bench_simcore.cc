@@ -2,7 +2,7 @@
  * @file
  * bench_simcore: the DES kernel's wall-clock benchmark trajectory.
  *
- * Runs a fixed set of simulator workloads — event-queue microkernels,
+ * Runs a fixed set of simulator workloads — event queue microkernels,
  * one full training iteration, cluster runs (smoke and large) and a
  * serving smoke run — and writes BENCH_simcore.json. The file is
  * checked in at the repository root and regenerated by CI, which diffs
@@ -20,7 +20,7 @@
  *
  * Usage: bench_simcore [output.json]   (default: BENCH_simcore.json)
  *        bench_simcore --json path [--append] [--reps N] [--warmup]
- *                      [--event-queue heap|calendar] [--label tag]
+ *                      [--label tag]
  *
  * --append appends the snapshot as one compact JSON line instead of
  * overwriting, so repeated runs accumulate a JSON-lines trajectory
@@ -41,15 +41,6 @@ using namespace mcdla;
 
 namespace
 {
-
-/** Backend requested on the command line, applied to every bench. */
-std::string g_backend = "heap"; // NOLINT
-
-EventQueueBackendKind
-backendKind()
-{
-    return parseEventQueueBackendKind(g_backend);
-}
 
 /** One benchmark entry: min-of-reps wall time plus a profiler. */
 struct Entry
@@ -93,7 +84,7 @@ runBench(const std::string &name, int reps, bool warmup, Fn &&fn)
 void
 benchEventQueueDrain(DesProfiler &profiler, int events)
 {
-    EventQueue eq(backendKind());
+    EventQueue eq;
     eq.setProfiler(&profiler);
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < events; ++i)
@@ -107,7 +98,7 @@ benchEventQueueDrain(DesProfiler &profiler, int events)
 void
 benchEventQueueCancel(DesProfiler &profiler, int events)
 {
-    EventQueue eq(backendKind());
+    EventQueue eq;
     eq.setProfiler(&profiler);
     volatile std::uint64_t sink = 0;
     std::vector<EventId> ids;
@@ -132,7 +123,6 @@ benchIteration(DesProfiler &profiler, const char *workload,
     sc.design = design;
     sc.mode = ParallelMode::DataParallel;
     sc.globalBatch = batch;
-    sc.base.eventQueueBackend = backendKind();
     Simulator sim;
     Simulator::Hooks hooks;
     hooks.profiler = &profiler;
@@ -147,7 +137,6 @@ benchCluster(DesProfiler &profiler, int jobs, double arrival_rate,
     ClusterConfig cfg;
     cfg.base.design = SystemDesign::McDlaB;
     cfg.base.seed = seed;
-    cfg.base.base.eventQueueBackend = backendKind();
     cfg.profiler = &profiler;
     Random rng(cfg.base.seed);
     std::vector<JobSpec> specs = synthesizeJobs(
@@ -168,7 +157,6 @@ benchServing(DesProfiler &profiler)
     cfg.base.globalBatch = 8;
     cfg.base.sloMs = 50.0;
     cfg.base.seed = 5;
-    cfg.base.base.eventQueueBackend = backendKind();
     cfg.profiler = &profiler;
     Random rng(cfg.base.seed);
     std::vector<Request> stream =
@@ -236,9 +224,6 @@ main(int argc, char **argv)
                 "is reported (noise-stable trajectory)");
     opts.addFlag("warmup",
                  "run one untimed warmup rep per entry before timing");
-    opts.addString("event-queue", "heap",
-                   "event-queue backend for every bench "
-                   "(heap|calendar)");
     opts.addString("label", "",
                    "free-form tag recorded in the snapshot (names the "
                    "optimization step in the trajectory)");
@@ -254,8 +239,6 @@ main(int argc, char **argv)
     if (reps < 1)
         fatal("--reps must be >= 1 (got %d)", reps);
     const bool warmup = opts.getFlag("warmup");
-    g_backend = opts.getString("event-queue");
-    backendKind(); // validate early (fatal on a bad name)
 
     std::vector<Entry> entries;
     entries.push_back(runBench(
@@ -282,9 +265,9 @@ main(int argc, char **argv)
 
     std::ostringstream snapshot;
     snapshot << "{\n  \"bench\": \"simcore\",\n  \"schema_version\": 2,\n"
-             << "  \"backend\": ";
-    jsonString(snapshot, g_backend);
-    snapshot << ",\n  \"label\": ";
+             // The kernel's one priority structure; the key stays so
+             // snapshots line up with the history's per-backend lines.
+             << "  \"backend\": \"calendar\",\n  \"label\": ";
     jsonString(snapshot, opts.getString("label"));
     snapshot << ",\n  \"units\": {\"wall_ms\": \"host milliseconds, "
              << "end-to-end, min of reps\", "

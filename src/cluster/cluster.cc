@@ -93,9 +93,6 @@ Cluster::Cluster(ClusterConfig cfg, std::vector<JobSpec> jobs)
                          return a.arrivalSec < b.arrivalSec;
                      });
 
-    // Before any schedule: the member queue default-constructs as a
-    // heap and may only be re-backed while pristine.
-    _eq.setBackend(_cfg.base.base.eventQueueBackend);
     _system = std::make_unique<System>(_eq, _cfg.base.config());
     _poolCapacity = computePoolCapacity();
     _pool = makePoolAllocator(_cfg.allocator, _poolCapacity);

@@ -176,11 +176,6 @@ Scenario::label() const
     if (base.collectiveAlgorithm != CollectiveAlgorithm::Ring)
         os << '/'
            << collectiveAlgorithmToken(base.collectiveAlgorithm);
-    // The event-queue backend cannot change results (both backends
-    // order identically), but a non-default run is still labelled so
-    // perf comparisons name what they measured.
-    if (base.eventQueueBackend != EventQueueBackendKind::Heap)
-        os << '/' << eventQueueBackendToken(base.eventQueueBackend);
     // Paging knobs only distinguish scenarios off the default policy;
     // default labels stay stable for existing tooling.
     if (base.paging.prefetch != PrefetchPolicyKind::StaticPlan) {
@@ -255,9 +250,6 @@ Scenario::addOptions(OptionParser &opts)
                    "device HBM capacity in GiB (0 = device default)");
     opts.addInt("seed", 0,
                 "RNG seed for stochastic components (0 = default)");
-    opts.addString("event-queue", "heap",
-                   "DES priority structure: "
-                       + eventQueueBackendTokenList());
     opts.addFlag("serve",
                  "inference-serving mode: replicas + request stream "
                  "(--batch caps each coalesced batch)");
@@ -364,8 +356,6 @@ Scenario::fromOptions(const OptionParser &opts)
         fatal("--seed must be >= 0 (got %lld)",
               static_cast<long long>(seed));
     sc.seed = static_cast<std::uint64_t>(seed);
-    sc.base.eventQueueBackend =
-        parseEventQueueBackendKind(opts.getString("event-queue"));
 
     // Serving knobs are validated unconditionally, like the paging
     // knobs above: a bad value is a configuration error even when

@@ -139,7 +139,7 @@ struct Scenario
      * --dimm-gib, --socket-gbps, --compression, --iterations,
      * --no-recompute, --prefetch-policy, --prefetch-lookahead,
      * --eviction-policy, --hbm-capacity, --pipeline-stages,
-     * --microbatches, --seed, --event-queue, and the serving set:
+     * --microbatches, --seed, and the serving set:
      * --serve,
      * --replicas, --requests, --request-rate, --slo-ms,
      * --batch-policy, --batch-timeout-ms, --arrivals, --router) on

@@ -76,7 +76,7 @@ IterationResult
 Simulator::run(const Scenario &scenario, const Network &net,
                const Hooks &hooks) const
 {
-    EventQueue eq(scenario.base.eventQueueBackend);
+    EventQueue eq;
     // The recorder attaches before the System exists so that
     // construction-time schedules land in the provenance DAG too.
     if (hooks.causal != nullptr)

@@ -54,9 +54,6 @@ ServingCluster::ServingCluster(ServingConfig cfg,
                          return a.arrivalSec < b.arrivalSec;
                      });
 
-    // Before any schedule: the member queue default-constructs as a
-    // heap and may only be re-backed while pristine.
-    _eq.setBackend(_cfg.base.base.eventQueueBackend);
     _system = std::make_unique<System>(_eq, _cfg.base.config());
     _sloSec = _cfg.base.sloMs / 1e3;
     if (_sloSec <= 0.0)

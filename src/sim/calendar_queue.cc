@@ -1,0 +1,137 @@
+#include "calendar_queue.hh"
+
+#include <algorithm>
+
+namespace mcdla
+{
+
+namespace
+{
+
+/** Descending (when, seq): the bucket minimum lives at back(). */
+bool
+bucketDescending(const EventItem &a, const EventItem &b)
+{
+    return eventItemBefore(b, a);
+}
+
+} // namespace
+
+CalendarQueue::CalendarQueue()
+    : _buckets(kMinBuckets), _mask(kMinBuckets - 1)
+{
+}
+
+void
+CalendarQueue::clear()
+{
+    for (std::vector<EventItem> &bucket : _buckets)
+        bucket.clear();
+    _mask = kMinBuckets - 1;
+    _width = 1;
+    _count = 0;
+    _lastWhen = 0;
+    _minBucket = SIZE_MAX;
+}
+
+void
+CalendarQueue::push(const EventItem &item)
+{
+    if (_count > 2 * (_mask + 1))
+        resize(2 * (_mask + 1));
+    std::vector<EventItem> &bucket = _buckets[bucketOf(item.when)];
+    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), item,
+                                   bucketDescending),
+                  item);
+    ++_count;
+    _minBucket = SIZE_MAX;
+}
+
+std::size_t
+CalendarQueue::findMinBucket() const
+{
+    if (_count == 0)
+        return SIZE_MAX;
+    // One "year" scan: walk day windows forward from the last popped
+    // tick. An item within its day window is the global minimum (all
+    // pending items are >= _lastWhen, and any earlier item would have
+    // been found in an earlier window).
+    const std::size_t nbuckets = _mask + 1;
+    const std::uint64_t start_day =
+        static_cast<std::uint64_t>(_lastWhen) / _width;
+    for (std::size_t i = 0; i < nbuckets; ++i) {
+        const std::uint64_t day = start_day + i;
+        const std::size_t idx =
+            static_cast<std::size_t>(day) & _mask;
+        const std::vector<EventItem> &bucket = _buckets[idx];
+        if (bucket.empty())
+            continue;
+        const std::uint64_t bound = (day + 1) * _width;
+        if (static_cast<std::uint64_t>(bucket.back().when) < bound)
+            return idx;
+    }
+    // Sparse region: nothing within a year of _lastWhen. Direct scan
+    // for the global minimum across all bucket minima.
+    std::size_t best = SIZE_MAX;
+    for (std::size_t idx = 0; idx < nbuckets; ++idx) {
+        const std::vector<EventItem> &bucket = _buckets[idx];
+        if (bucket.empty())
+            continue;
+        if (best == SIZE_MAX
+            || eventItemBefore(bucket.back(), _buckets[best].back()))
+            best = idx;
+    }
+    return best;
+}
+
+EventItem
+CalendarQueue::pop()
+{
+    const EventItem item = peek(); // caches _minBucket
+    _buckets[_minBucket].pop_back();
+    --_count;
+    _lastWhen = item.when;
+    _minBucket = SIZE_MAX;
+    const std::size_t nbuckets = _mask + 1;
+    if (nbuckets > kMinBuckets && _count < nbuckets / 2)
+        resize(nbuckets / 2);
+    return item;
+}
+
+void
+CalendarQueue::resize(std::size_t nbuckets)
+{
+    // Buckets beyond the active count are kept (empty) and the scratch
+    // vector is a member, so a warm queue resizes without allocating.
+    std::vector<EventItem> &items = _resizeScratch;
+    items.clear();
+    for (std::size_t idx = 0; idx <= _mask; ++idx) {
+        std::vector<EventItem> &bucket = _buckets[idx];
+        items.insert(items.end(), bucket.begin(), bucket.end());
+        bucket.clear();
+    }
+    if (nbuckets > _buckets.size())
+        _buckets.resize(nbuckets);
+    _mask = nbuckets - 1;
+    if (!items.empty()) {
+        Tick min_when = items.front().when;
+        Tick max_when = items.front().when;
+        for (const EventItem &item : items) {
+            min_when = std::min(min_when, item.when);
+            max_when = std::max(max_when, item.when);
+        }
+        // Width ~= twice the mean inter-event gap: a couple of items
+        // per day window on a uniform distribution.
+        const std::uint64_t span =
+            static_cast<std::uint64_t>(max_when - min_when);
+        _width = std::max<std::uint64_t>(1, 2 * span / items.size());
+        for (const EventItem &item : items)
+            _buckets[bucketOf(item.when)].push_back(item);
+        for (std::size_t idx = 0; idx < nbuckets; ++idx)
+            std::sort(_buckets[idx].begin(), _buckets[idx].end(),
+                      bucketDescending);
+    }
+    _minBucket = SIZE_MAX;
+}
+
+} // namespace mcdla

@@ -14,27 +14,6 @@
 namespace mcdla
 {
 
-EventQueue::EventQueue(EventQueueBackendKind kind)
-    : _backendKind(kind), _backend(makeEventQueueBackend(kind))
-{
-}
-
-EventQueue::~EventQueue() = default;
-
-void
-EventQueue::setBackend(EventQueueBackendKind kind)
-{
-    if (!_backend->empty() || _executed != 0 || _now != 0
-        || _live != 0)
-        panic("EventQueue::setBackend(%s) on a non-pristine queue "
-              "(%zu pending, %llu executed, now=%llu)",
-              eventQueueBackendToken(kind), _live,
-              static_cast<unsigned long long>(_executed),
-              static_cast<unsigned long long>(_now));
-    _backendKind = kind;
-    _backend = makeEventQueueBackend(kind);
-}
-
 EventId
 EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel label,
                           bool weak)
@@ -74,12 +53,12 @@ EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel label,
                                                 weak);
     }
     slot.label = std::move(label);
-    _backend->push(EventItem{when, _nextSeq++, slot_index});
+    _queue.push(EventItem{when, _nextSeq++, slot_index});
     ++_live;
     if (weak)
         ++_weakLive;
     if (_profiler)
-        _profiler->noteSchedule(_backend->size());
+        _profiler->noteSchedule(_queue.size());
     return makeId(slot.gen, slot_index);
 }
 
@@ -139,7 +118,7 @@ EventQueue::deschedule(EventId id)
     // without touching any state.
     if (!slot.allocated || slot.gen != gen || slot.cancelled)
         return false;
-    // Tombstone: the backend item stays where it is and is discarded
+    // Tombstone: the queued item stays where it is and is discarded
     // when popped; the payload is destroyed right here so captures
     // (and the slot's share of pool memory) free immediately.
     slot.cancelled = true;
@@ -196,7 +175,7 @@ EventQueue::executeItem(const EventItem &item)
 void
 EventQueue::discardPending()
 {
-    _backend->clear();
+    _queue.clear();
     for (std::size_t i = 0; i < _slotCount; ++i)
         if (slotAt(static_cast<std::uint32_t>(i)).allocated)
             releaseSlot(static_cast<std::uint32_t>(i));
@@ -207,10 +186,10 @@ EventQueue::discardPending()
 bool
 EventQueue::step()
 {
-    while (!_backend->empty()) {
-        const EventItem head = _backend->peek();
+    while (!_queue.empty()) {
+        const EventItem head = _queue.peek();
         if (slotAt(head.slot).cancelled) {
-            _backend->pop();
+            _queue.pop();
             releaseSlot(head.slot);
             continue;
         }
@@ -220,7 +199,7 @@ EventQueue::step()
             discardPending();
             return false;
         }
-        _backend->pop();
+        _queue.pop();
         --_live;
         if (slotAt(head.slot).weak)
             --_weakLive;
@@ -243,10 +222,10 @@ std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t n = 0;
-    while (!_backend->empty()) {
-        const EventItem head = _backend->peek();
+    while (!_queue.empty()) {
+        const EventItem head = _queue.peek();
         if (slotAt(head.slot).cancelled) {
-            _backend->pop();
+            _queue.pop();
             releaseSlot(head.slot);
             continue;
         }
@@ -256,7 +235,7 @@ EventQueue::runUntil(Tick limit)
         }
         if (head.when > limit)
             break;
-        _backend->pop();
+        _queue.pop();
         --_live;
         if (slotAt(head.slot).weak)
             --_weakLive;

@@ -8,9 +8,8 @@
  * requiring explicit priorities.
  *
  * The hot path is allocation-free: event payloads (an SBO callback, a
- * lazy label, flags) live in a free-list slot pool, the priority
- * structure orders POD (when, seq, slot) keys (see
- * event_queue_backend.hh for the heap and calendar backends), and
+ * lazy label, flags) live in a free-list slot pool, a calendar queue
+ * orders POD (when, seq, slot) keys (see calendar_queue.hh), and
  * cancellation is a tombstone flag in the slot — no per-event heap
  * traffic, no hash-set side-tables. Slot state is retired at pop time,
  * so a stale EventId (already executed or cancelled) is detected by a
@@ -29,8 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "calendar_queue.hh"
 #include "event_label.hh"
-#include "event_queue_backend.hh"
 #include "inline_function.hh"
 #include "units.hh"
 
@@ -50,6 +49,18 @@ using EventId = std::uint64_t;
 
 /** Sentinel returned for invalid events. */
 constexpr EventId invalidEventId = 0;
+
+/**
+ * Source-compatibility shim with no settable value: the calendar queue
+ * is the kernel's only priority structure. It exists only because
+ * perfbench/perfbench.cc constructs `EventQueue
+ * eq(scenario.base.eventQueueBackend)`, and goes with that line at the
+ * next change to the benchmark.
+ */
+enum class EventQueueBackendKind
+{
+    Calendar,
+};
 
 /**
  * The central event queue of a simulation instance.
@@ -73,22 +84,13 @@ class EventQueue
      */
     using Callback = InlineFunction<56>;
 
-    EventQueue() : EventQueue(EventQueueBackendKind::Heap) {}
-    explicit EventQueue(EventQueueBackendKind kind);
+    EventQueue() = default;
+    /** Shim for perfbench/perfbench.cc only (see
+        EventQueueBackendKind); goes with it at the next change to the
+        benchmark. */
+    explicit EventQueue(EventQueueBackendKind) : EventQueue() {}
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-    ~EventQueue();
-
-    /**
-     * Swap the priority-structure backend. Only legal on a pristine
-     * queue (nothing pending, nothing executed, now() == 0): both
-     * backends order identically, but swapping mid-run would strand
-     * pending items. Lets members constructed as `EventQueue _eq;`
-     * apply a configured backend first thing in the owner's body.
-     */
-    void setBackend(EventQueueBackendKind kind);
-
-    EventQueueBackendKind backend() const { return _backendKind; }
 
     /** Current simulated time. */
     Tick now() const { return _now; }
@@ -175,7 +177,7 @@ class EventQueue
     /**
      * Attach a wall-clock profiler (nullptr detaches). While attached,
      * executeHead times every callback and attributes the host time to
-     * the event's label; schedule/deschedule counts and peak heap
+     * the event's label; schedule/deschedule counts and peak queue
      * depth are tracked too. Off by default — the hot path pays only a
      * branch when no profiler is attached.
      */
@@ -203,7 +205,7 @@ class EventQueue
     void reset();
 
   private:
-    /** Pooled event payload; keys live in the backend. */
+    /** Pooled event payload; keys live in the calendar queue. */
     struct Slot
     {
         Callback cb;
@@ -267,8 +269,7 @@ class EventQueue
     std::uint64_t _executed = 0;
     std::size_t _live = 0;
     std::size_t _weakLive = 0;
-    EventQueueBackendKind _backendKind;
-    std::unique_ptr<EventQueueBackend> _backend;
+    CalendarQueue _queue;
     std::vector<std::unique_ptr<Slot[]>> _slotChunks;
     std::size_t _slotCount = 0;
     std::vector<std::uint32_t> _freeSlots;

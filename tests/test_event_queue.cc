@@ -1,14 +1,14 @@
 /**
  * @file
- * Event-queue backend equivalence and slot-pool regression tests.
+ * Event-queue ordering and slot-pool regression tests.
  *
- * The heap and calendar backends must produce the *exact* same global
- * event order — not merely the same final state — because the
- * determinism audit hashes the executed (tick, label) stream. The
- * differential fuzzer here drives both backends through identical
- * randomized schedule/cancel/weak workloads (same-tick bursts, dense
- * ranges, sparse jumps that force the calendar's year scan and
- * resize machinery) and requires bit-identical stream hashes.
+ * The queue must produce the *exact* global (when, seq) event order —
+ * not merely the same final state — because the determinism audit
+ * hashes the executed (tick, label) stream. The fuzzer here drives it
+ * through randomized schedule/cancel/weak workloads (same-tick bursts,
+ * dense ranges, sparse jumps that force the calendar's year scan and
+ * resize machinery) and pins each seed's outcome to values a 4-ary
+ * heap and the calendar queue produced identically.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ namespace mcdla
 namespace
 {
 
-/** Outcome summary of one randomized run; equal across backends. */
+/** Outcome summary of one randomized run. */
 struct FuzzResult
 {
     std::uint64_t streamHash = 0;
@@ -33,24 +33,13 @@ struct FuzzResult
     std::uint64_t descheduled = 0;
     std::uint64_t weakFired = 0;
     Tick finalNow = 0;
-
-    bool
-    operator==(const FuzzResult &other) const
-    {
-        return streamHash == other.streamHash
-               && executed == other.executed
-               && descheduled == other.descheduled
-               && weakFired == other.weakFired
-               && finalNow == other.finalNow;
-    }
 };
 
 /** Self-scheduling randomized workload over one EventQueue. */
 class Fuzzer
 {
   public:
-    Fuzzer(EventQueueBackendKind kind, std::uint64_t seed)
-        : _eq(kind), _rng(seed)
+    explicit Fuzzer(std::uint64_t seed) : _rng(seed)
     {
         _eq.setProfiler(&_prof);
     }
@@ -138,7 +127,7 @@ class Fuzzer
     {
         // Cancel a random earlier handle now and then; many are stale
         // (already executed or cancelled) and must be refused — the
-        // refusal pattern is part of the cross-backend contract.
+        // refusal pattern is part of the pinned outcome.
         if (!_ids.empty() && _rng.below(4) == 0) {
             const EventId victim =
                 _ids[static_cast<std::size_t>(_rng.below(_ids.size()))];
@@ -157,36 +146,28 @@ class Fuzzer
     std::uint64_t _weakFired = 0;
 };
 
-TEST(EventBackendDifferential, HeapAndCalendarProduceIdenticalStreams)
+TEST(EventQueueFuzz, StreamsMatchRecordedOrder)
 {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        const FuzzResult heap =
-            Fuzzer(EventQueueBackendKind::Heap, seed).run();
-        const FuzzResult calendar =
-            Fuzzer(EventQueueBackendKind::Calendar, seed).run();
-        EXPECT_TRUE(heap == calendar)
-            << "seed " << seed << ": heap hash " << heap.streamHash
-            << " (" << heap.executed << " events) vs calendar hash "
-            << calendar.streamHash << " (" << calendar.executed
-            << " events)";
-        // A degenerate run would vacuously pass; require real work.
-        EXPECT_GT(heap.executed, 10000u) << "seed " << seed;
-        EXPECT_GT(heap.descheduled, 0u) << "seed " << seed;
-        EXPECT_GT(heap.weakFired, 0u) << "seed " << seed;
+    // Recorded with the heap and calendar backends agreeing on every
+    // field; any change to (when, seq) ordering, same-tick FIFO,
+    // tombstones, stale-id refusal or weak-event discard moves them.
+    const FuzzResult expected[] = {
+        {0x5470ed713d8b9fa9ull, 518694, 1118, 499812, 499812382},
+        {0x96e32023f227aa5full, 517787, 1180, 498967, 498967640},
+        {0xf01cbcbcb6e12099ull, 518462, 1165, 499627, 499627650},
+        {0x223d87d52306f8a1ull, 518576, 1104, 499680, 499680531},
+        {0x071a33c475820e60ull, 518347, 1150, 499497, 499497115},
+    };
+    std::uint64_t seed = 1;
+    for (const FuzzResult &want : expected) {
+        const FuzzResult got = Fuzzer(seed).run();
+        EXPECT_EQ(got.streamHash, want.streamHash) << "seed " << seed;
+        EXPECT_EQ(got.executed, want.executed) << "seed " << seed;
+        EXPECT_EQ(got.descheduled, want.descheduled) << "seed " << seed;
+        EXPECT_EQ(got.weakFired, want.weakFired) << "seed " << seed;
+        EXPECT_EQ(got.finalNow, want.finalNow) << "seed " << seed;
+        ++seed;
     }
-}
-
-TEST(EventBackendDifferential, BackendTokensRoundTrip)
-{
-    EXPECT_EQ(parseEventQueueBackendKind("heap"),
-              EventQueueBackendKind::Heap);
-    EXPECT_EQ(parseEventQueueBackendKind("calendar"),
-              EventQueueBackendKind::Calendar);
-    EXPECT_STREQ(eventQueueBackendToken(EventQueueBackendKind::Heap),
-                 "heap");
-    EXPECT_STREQ(
-        eventQueueBackendToken(EventQueueBackendKind::Calendar),
-        "calendar");
 }
 
 // ------------------------------------------------------------ slot pool
