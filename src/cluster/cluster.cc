@@ -6,6 +6,7 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/causal.hh"
 #include "sim/logging.hh"
@@ -45,9 +46,9 @@ jobPlacementTokenList()
 }
 
 std::uint64_t
-Cluster::jobPoolBytes(const JobSpec &spec, const Network &net,
-                      const SystemConfig &cfg,
-                      std::uint64_t page_bytes)
+JobRunner::jobPoolBytes(const JobSpec &spec, const Network &net,
+                        const SystemConfig &cfg,
+                        std::uint64_t page_bytes)
 {
     if (!designVirtualizesMemory(cfg.design))
         return 0;
@@ -85,40 +86,8 @@ Cluster::jobPoolBytes(const JobSpec &spec, const Network &net,
     return per_device * static_cast<std::uint64_t>(spec.devices);
 }
 
-Cluster::Cluster(ClusterConfig cfg, std::vector<JobSpec> jobs)
-    : _cfg(std::move(cfg)), _specs(std::move(jobs))
-{
-    std::stable_sort(_specs.begin(), _specs.end(),
-                     [](const JobSpec &a, const JobSpec &b) {
-                         return a.arrivalSec < b.arrivalSec;
-                     });
-
-    _system = std::make_unique<System>(_eq, _cfg.base.config());
-    _poolCapacity = computePoolCapacity();
-    _pool = makePoolAllocator(_cfg.allocator, _poolCapacity);
-    _scheduler = makeScheduler(_cfg.scheduler);
-
-    for (int d = 0; d < _system->numDevices(); ++d)
-        _freeDevices.insert(d);
-
-    // The shared pool replaces the static per-device carve-out of the
-    // standalone design: capacity is enforced here, so every device's
-    // remote window is widened to the pool and the address space only
-    // decides placement (the LOCAL/BW_AWARE traffic fractions).
-    for (int d = 0; d < _system->numDevices(); ++d)
-        _system->addressSpace(d).uncapRemoteRegions(_poolCapacity);
-
-    _outcomes.resize(_specs.size());
-    for (std::size_t i = 0; i < _specs.size(); ++i) {
-        if (_specs[i].name.empty())
-            _specs[i].name = "job" + std::to_string(i);
-        _outcomes[i].spec = _specs[i];
-        _outcomes[i].arrivalSec = _specs[i].arrivalSec;
-    }
-}
-
-std::uint64_t
-sharedPoolCapacityBytes(System &system)
+std::unique_ptr<MemoryPoolAllocator>
+makeSharedPool(System &system, PoolAllocatorKind kind)
 {
     // Sum each distinct backing-store target once: every memory-node
     // reachable from any device (halves of one board merge back into
@@ -142,13 +111,52 @@ sharedPoolCapacityBytes(System &system)
     }
     // Designs without a backing store (the oracle) never allocate;
     // give the allocator a token capacity so it can exist.
-    return total > 0 ? total : 1;
+    const std::uint64_t capacity = total > 0 ? total : 1;
+    for (int d = 0; d < system.numDevices(); ++d)
+        system.addressSpace(d).uncapRemoteRegions(capacity);
+    return makePoolAllocator(kind, capacity);
 }
 
-std::uint64_t
-Cluster::computePoolCapacity() const
+Cluster::Cluster(ClusterConfig cfg, std::vector<JobSpec> jobs)
+    : _cfg(std::move(cfg))
 {
-    return sharedPoolCapacityBytes(*_system);
+    _system = std::make_unique<System>(_eq, _cfg.base.config());
+    _pool = makeSharedPool(*_system, _cfg.allocator);
+    std::vector<int> devices(
+        static_cast<std::size_t>(_system->numDevices()));
+    std::iota(devices.begin(), devices.end(), 0);
+    _runner = std::make_unique<JobRunner>(
+        *_system, _networks, *_pool, _cfg.allocator, std::move(jobs),
+        devices, _cfg.scheduler, _cfg.placement,
+        /*pinned_bytes=*/0, "cluster", _cfg.trace, _cfg.progress);
+}
+
+JobRunner::JobRunner(System &system, Simulator &networks,
+                     MemoryPoolAllocator &pool,
+                     PoolAllocatorKind allocator,
+                     std::vector<JobSpec> jobs,
+                     const std::vector<int> &devices,
+                     SchedulerKind scheduler, JobPlacement placement,
+                     std::uint64_t pinned_bytes, const char *process,
+                     TraceSink *trace, bool progress)
+    : _eq(system.eventQueue()), _system(system), _networks(networks),
+      _pool(pool), _allocator(allocator), _specs(std::move(jobs)),
+      _deviceCount(static_cast<int>(devices.size())),
+      _scheduler(makeScheduler(scheduler)), _placement(placement),
+      _pinnedBytes(pinned_bytes), _process(process), _trace(trace),
+      _progress(progress), _freeDevices(devices.begin(), devices.end())
+{
+    std::stable_sort(_specs.begin(), _specs.end(),
+                     [](const JobSpec &a, const JobSpec &b) {
+                         return a.arrivalSec < b.arrivalSec;
+                     });
+    _outcomes.resize(_specs.size());
+    for (std::size_t i = 0; i < _specs.size(); ++i) {
+        if (_specs[i].name.empty())
+            _specs[i].name = "job" + std::to_string(i);
+        _outcomes[i].spec = _specs[i];
+        _outcomes[i].arrivalSec = _specs[i].arrivalSec;
+    }
 }
 
 std::vector<int>
@@ -207,15 +215,6 @@ placeJobDevices(const Fabric &fabric, const std::vector<int> &free,
     return best;
 }
 
-std::vector<int>
-Cluster::pickDevices(int count) const
-{
-    return placeJobDevices(
-        _system->fabric(),
-        std::vector<int>(_freeDevices.begin(), _freeDevices.end()),
-        count, _cfg.placement);
-}
-
 ClusterReport
 Cluster::run()
 {
@@ -238,55 +237,70 @@ Cluster::run()
         _cfg.metrics->add("pool.frag",
                           [this] { return _pool->fragmentation(); });
         _cfg.metrics->add("cluster.busy_devices", [this] {
-            return static_cast<double>(
-                _system->numDevices()
-                - static_cast<int>(_freeDevices.size()));
+            return static_cast<double>(_runner->busyDevices());
         });
         _cfg.metrics->add("cluster.queued_jobs", [this] {
-            return static_cast<double>(_queue.size());
+            return static_cast<double>(_runner->queuedJobs());
         });
         _cfg.metrics->add("cluster.running_jobs", [this] {
-            return static_cast<double>(_active.size());
+            return static_cast<double>(_runner->runningJobs());
         });
         _cfg.metrics->start(_eq);
     }
 
-    {
-        // Arrivals are scheduler-wait edges: a job's first admission
-        // attempt causally hangs off its arrival event.
-        CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Sched,
-                                 CausalCtx::Cluster);
-        for (std::size_t i = 0; i < _specs.size(); ++i) {
-            _eq.schedule(secondsToTicks(_specs[i].arrivalSec),
-                         [this, i] { onArrival(i); }, "job_arrival");
-        }
-    }
+    _runner->scheduleArrivals();
     _eq.run();
-
-    if (!_queue.empty()) {
-        panic("cluster drained with %zu jobs still queued (first: %s)",
-              _queue.size(),
-              _specs[_queue.front().jobIndex].label().c_str());
-    }
-    if (!_active.empty())
-        panic("cluster drained with %zu jobs still running",
-              _active.size());
+    _runner->checkDrained();
 
     ClusterReport report;
-    report.jobs = _outcomes;
-    report.timeline = _timeline;
+    report.jobs = _runner->outcomes();
+    report.timeline = _runner->timeline();
     report.makespanSec = ticksToSeconds(_eq.now());
     report.scheduler = _cfg.scheduler;
     report.allocator = _cfg.allocator;
     report.placement = _cfg.placement;
-    report.poolCapacity = _poolCapacity;
+    report.poolCapacity = _pool->capacity();
     report.poolPeakUsed = _pool->peakUsedBytes();
     report.allocationFailures = _pool->allocationFailures();
     return report;
 }
 
+// ------------------------------------------------------ job lifecycle
+
 void
-Cluster::onArrival(std::size_t index)
+JobRunner::scheduleArrivals()
+{
+    // Arrivals are scheduler-wait edges: a job's first admission
+    // attempt causally hangs off its arrival event.
+    CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Sched,
+                             CausalCtx::Cluster);
+    for (std::size_t i = 0; i < _specs.size(); ++i) {
+        _eq.schedule(secondsToTicks(_specs[i].arrivalSec),
+                     [this, i] { onArrival(i); }, "job_arrival");
+    }
+}
+
+void
+JobRunner::checkDrained() const
+{
+    if (!_queue.empty()) {
+        panic("%s drained with %zu jobs still queued (first: %s)",
+              _process, _queue.size(),
+              _specs[_queue.front().jobIndex].label().c_str());
+    }
+    if (!_active.empty())
+        panic("%s drained with %zu jobs still running", _process,
+              _active.size());
+}
+
+int
+JobRunner::busyDevices() const
+{
+    return _deviceCount - static_cast<int>(_freeDevices.size());
+}
+
+void
+JobRunner::onArrival(std::size_t index)
 {
     const JobSpec &spec = _specs[index];
     JobOutcome &outcome = _outcomes[index];
@@ -297,8 +311,7 @@ Cluster::onArrival(std::size_t index)
     // the queue (or, worse, letting ParallelStrategy's constructor
     // kill the whole cluster run mid-stream). The shape checks mirror
     // the strategy's own fatal paths.
-    bool feasible =
-        spec.devices >= 1 && spec.devices <= _system->numDevices();
+    bool feasible = spec.devices >= 1 && spec.devices <= _deviceCount;
     if (feasible && spec.mode == ParallelMode::Pipeline) {
         const int stages = spec.pipelineStages > 0 ? spec.pipelineStages
                                                    : spec.devices;
@@ -312,30 +325,35 @@ Cluster::onArrival(std::size_t index)
 
     std::uint64_t demand = 0;
     if (feasible) {
-        demand = jobPoolBytes(spec, net, _system->config(),
-                              _system->addressSpace(0).pageBytes());
+        demand = jobPoolBytes(spec, net, _system.config(),
+                              _system.addressSpace(0).pageBytes());
+        // Bytes pinned by others (serving replicas) shrink the pool
+        // for the whole run; a job that can never fit beside them is
+        // rejected.
         if (demand > 0) {
-            const auto probe = makePoolAllocator(_cfg.allocator,
-                                                 _poolCapacity);
-            feasible = probe->canAllocate(demand);
+            const auto probe =
+                makePoolAllocator(_allocator, _pool.capacity());
+            feasible = probe->canAllocate(demand + _pinnedBytes);
         }
     }
     if (!feasible) {
         outcome.rejected = true;
-        warn("cluster rejects %s: its shape (%d devices, %s pool "
-             "demand) cannot ever run on this machine",
-             spec.label().c_str(), spec.devices,
-             formatBytes(static_cast<double>(demand)).c_str());
-        if (_cfg.trace != nullptr)
-            _cfg.trace->addInstant("cluster", "rejected",
-                                   "reject " + spec.label(), _eq.now(),
-                                   "job");
+        warn("%s rejects %s: its shape (%d devices, %s pool demand) "
+             "cannot ever run on %d devices beside %s of pinned pool",
+             _process, spec.label().c_str(), spec.devices,
+             formatBytes(static_cast<double>(demand)).c_str(),
+             _deviceCount,
+             formatBytes(static_cast<double>(_pinnedBytes)).c_str());
+        if (_trace != nullptr)
+            _trace->addInstant(_process, "rejected",
+                               "reject " + spec.label(), _eq.now(),
+                               "job");
         return;
     }
 
     // The SJF oracle: the analytic estimator's no-overlap bound on the
     // job's solo iteration, scaled by its iteration count.
-    SystemConfig job_cfg = _system->config();
+    SystemConfig job_cfg = _system.config();
     job_cfg.fabric.numDevices = spec.devices;
     const AnalyticEstimate estimate = estimateIteration(
         job_cfg, net, spec.mode, spec.batch, spec.pipelineStages,
@@ -356,11 +374,11 @@ Cluster::onArrival(std::size_t index)
 }
 
 void
-Cluster::tryAdmit()
+JobRunner::tryAdmit()
 {
     while (!_queue.empty()) {
         const std::size_t pos = _scheduler->pick(
-            _queue, static_cast<int>(_freeDevices.size()), *_pool);
+            _queue, static_cast<int>(_freeDevices.size()), _pool);
         if (pos == JobScheduler::npos)
             break;
         startJob(pos);
@@ -371,12 +389,12 @@ Cluster::tryAdmit()
     // per blocked episode, not once per scheduling pass.
     const int free = static_cast<int>(_freeDevices.size());
     const std::size_t candidate =
-        _scheduler->blockedCandidate(_queue, free, *_pool);
+        _scheduler->blockedCandidate(_queue, free, _pool);
     if (candidate != JobScheduler::npos
         && JobScheduler::memoryBlocked(_queue[candidate], free,
-                                       *_pool)) {
+                                       _pool)) {
         if (_memoryBlockedJob != _queue[candidate].jobIndex) {
-            _pool->noteFailure();
+            _pool.noteFailure();
             samplePool("fail",
                        _specs[_queue[candidate].jobIndex].name);
             _memoryBlockedJob = _queue[candidate].jobIndex;
@@ -387,7 +405,7 @@ Cluster::tryAdmit()
 }
 
 void
-Cluster::startJob(std::size_t queue_pos)
+JobRunner::startJob(std::size_t queue_pos)
 {
     const PendingJob pending = _queue[queue_pos];
     _queue.erase(_queue.begin()
@@ -399,7 +417,7 @@ Cluster::startJob(std::size_t queue_pos)
 
     ActiveJob active;
     if (pending.poolBytes > 0) {
-        auto block = _pool->allocate(pending.poolBytes);
+        auto block = _pool.allocate(pending.poolBytes);
         if (!block)
             panic("scheduler admitted %s but the pool cannot place %s",
                   spec.label().c_str(),
@@ -409,37 +427,40 @@ Cluster::startJob(std::size_t queue_pos)
         active.hasBlock = true;
     }
 
-    outcome.devices = pickDevices(pending.devices);
+    outcome.devices = placeJobDevices(
+        _system.fabric(),
+        std::vector<int>(_freeDevices.begin(), _freeDevices.end()),
+        pending.devices, _placement);
     for (int d : outcome.devices)
         _freeDevices.erase(d);
     outcome.startSec = ticksToSeconds(_eq.now());
 
     active.net = _networks.network(spec.workload);
     active.session = std::make_unique<TrainingSession>(
-        *_system, *active.net, spec.mode, spec.batch,
+        _system, *active.net, spec.mode, spec.batch,
         spec.pipelineStages, spec.microbatches, outcome.devices);
     active.remainingIterations = spec.iterations;
     active.startTick = _eq.now();
-    if (_cfg.trace != nullptr) {
-        // Per-job track on the "cluster" process: the queueing span
+    if (_trace != nullptr) {
+        // Per-job track on the runner's process: the queueing span
         // closes here, the running span closes at finishJob(), and a
         // flow arrow links admission to the job's first compute op.
         active.traceTrack =
             "job" + std::to_string(index) + " " + spec.name;
         const Tick arrival = secondsToTicks(spec.arrivalSec);
         if (_eq.now() > arrival)
-            _cfg.trace->addSpan("cluster", active.traceTrack,
-                                "queued " + spec.label(), arrival,
-                                _eq.now() - arrival, "queue");
-        active.session->setTraceSink(_cfg.trace);
-        const std::uint64_t flow = _cfg.trace->newFlow();
-        _cfg.trace->flowBegin("cluster", active.traceTrack, "dispatch",
-                              _eq.now(), flow, "job");
+            _trace->addSpan(_process, active.traceTrack,
+                            "queued " + spec.label(), arrival,
+                            _eq.now() - arrival, "queue");
+        active.session->setTraceSink(_trace);
+        const std::uint64_t flow = _trace->newFlow();
+        _trace->flowBegin(_process, active.traceTrack, "dispatch",
+                          _eq.now(), flow, "job");
         active.session->setIterationFlow(flow);
     }
     _active.emplace(index, std::move(active));
 
-    if (_cfg.progress)
+    if (_progress)
         inform("t=%.3fs start %s on %d devices (%s pool)",
                outcome.startSec, spec.label().c_str(), pending.devices,
                formatBytes(static_cast<double>(
@@ -449,7 +470,7 @@ Cluster::startJob(std::size_t queue_pos)
 }
 
 void
-Cluster::stepJob(std::size_t index)
+JobRunner::stepJob(std::size_t index)
 {
     ActiveJob &active = _active.at(index);
     active.session->startIteration(
@@ -465,19 +486,18 @@ Cluster::stepJob(std::size_t index)
 }
 
 void
-Cluster::finishJob(std::size_t index)
+JobRunner::finishJob(std::size_t index)
 {
     JobOutcome &outcome = _outcomes[index];
     outcome.finishSec = ticksToSeconds(_eq.now());
     outcome.completed = true;
-    if (_cfg.trace != nullptr) {
+    if (_trace != nullptr) {
         const ActiveJob &job = _active.at(index);
-        _cfg.trace->addSpan("cluster", job.traceTrack,
-                            "run " + outcome.spec.label(),
-                            job.startTick, _eq.now() - job.startTick,
-                            "job");
+        _trace->addSpan(_process, job.traceTrack,
+                        "run " + outcome.spec.label(), job.startTick,
+                        _eq.now() - job.startTick, "job");
     }
-    if (_cfg.progress)
+    if (_progress)
         inform("t=%.3fs finish %s (JCT %.3fs, queued %.3fs)",
                outcome.finishSec, outcome.spec.label().c_str(),
                outcome.jctSec(), outcome.queueSec());
@@ -493,7 +513,7 @@ Cluster::finishJob(std::size_t index)
 }
 
 void
-Cluster::cleanupJob(std::size_t index)
+JobRunner::cleanupJob(std::size_t index)
 {
     auto it = _active.find(index);
     if (it == _active.end())
@@ -502,25 +522,24 @@ Cluster::cleanupJob(std::size_t index)
     for (int d : _outcomes[index].devices)
         _freeDevices.insert(d);
     if (it->second.hasBlock)
-        _pool->release(it->second.block);
+        _pool.release(it->second.block);
     _active.erase(it);
     samplePool("free", _outcomes[index].spec.name);
     tryAdmit();
 }
 
 void
-Cluster::samplePool(const char *event, const std::string &job)
+JobRunner::samplePool(const char *event, const std::string &job)
 {
     PoolSample sample;
     sample.timeSec = ticksToSeconds(_eq.now());
     sample.event = event;
     sample.job = job;
-    sample.usedBytes = _pool->usedBytes();
-    sample.freeBytes = _pool->freeBytes();
-    sample.largestFreeBytes = _pool->largestFreeBlock();
-    sample.fragmentation = _pool->fragmentation();
-    sample.busyDevices = _system->numDevices()
-        - static_cast<int>(_freeDevices.size());
+    sample.usedBytes = _pool.usedBytes();
+    sample.freeBytes = _pool.freeBytes();
+    sample.largestFreeBytes = _pool.largestFreeBlock();
+    sample.fragmentation = _pool.fragmentation();
+    sample.busyDevices = busyDevices();
     _timeline.push_back(std::move(sample));
 }
 

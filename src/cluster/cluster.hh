@@ -64,13 +64,18 @@ std::vector<int> placeJobDevices(const Fabric &fabric,
                                  int count, JobPlacement placement);
 
 /**
- * Capacity of the shared backing-store pool of @p system: each
- * distinct backing target — every memory-node reachable from any
- * device, or the host DRAM for the PCIe designs — counted once.
- * Designs without a backing store get a token 1-byte pool so an
- * allocator can exist. Shared by Cluster and ServingCluster.
+ * The shared backing-store pool of @p system under allocator @p kind.
+ * Its capacity counts each distinct backing target once — every
+ * memory-node reachable from any device, or the host DRAM for the
+ * PCIe designs; designs without a backing store get a token 1-byte
+ * pool so an allocator can exist. The pool replaces the standalone
+ * design's static per-device carve-out: every device's remote window
+ * is widened to the pool, so the allocator enforces capacity and the
+ * address spaces only decide placement (the LOCAL/BW_AWARE traffic
+ * fractions). Shared by Cluster and ServingCluster.
  */
-std::uint64_t sharedPoolCapacityBytes(System &system);
+std::unique_ptr<MemoryPoolAllocator> makeSharedPool(System &system,
+                                                    PoolAllocatorKind kind);
 
 /** Parse a placement token ("first" / "compact"); fatal. */
 JobPlacement parseJobPlacement(const std::string &name);
@@ -185,6 +190,119 @@ struct PoolSample
     int busyDevices = 0;
 };
 
+/**
+ * The training-job lifecycle over a shared machine: feasibility checks
+ * and the analytic solo estimate at arrival, scheduler-ordered
+ * admission onto a fixed device set and the shared pool, one
+ * TrainingSession per admitted job iterated on the machine's
+ * EventQueue, and teardown from a zero-delay `job_cleanup` event.
+ * Cluster runs every device through one; ServingCluster runs its
+ * non-replica devices through one beside the pinned replica blocks.
+ */
+class JobRunner
+{
+  public:
+    /**
+     * @param system Machine the jobs run on (its EventQueue drives
+     *        them).
+     * @param networks Workload network cache.
+     * @param pool Shared backing-store pool jobs carve from.
+     * @param allocator Kind of @p pool (the feasibility probe).
+     * @param jobs Submitted job stream (any order; sorted by arrival,
+     *        unnamed jobs named "job<N>").
+     * @param devices Device-nodes jobs may run on, ascending.
+     * @param scheduler Admission policy over the waiting queue.
+     * @param placement Device-selection policy for admitted jobs.
+     * @param pinned_bytes Pool bytes held by others for the whole run;
+     *        a job that can never fit beside them is rejected.
+     * @param process Trace process of the job spans, and the noun of
+     *        the log lines ("cluster" / "serving").
+     * @param trace Chrome-tracing sink (optional).
+     * @param progress inform() on every admission/completion.
+     */
+    JobRunner(System &system, Simulator &networks,
+              MemoryPoolAllocator &pool, PoolAllocatorKind allocator,
+              std::vector<JobSpec> jobs, const std::vector<int> &devices,
+              SchedulerKind scheduler, JobPlacement placement,
+              std::uint64_t pinned_bytes, const char *process,
+              TraceSink *trace, bool progress);
+
+    // Scheduled events capture `this`.
+    JobRunner(const JobRunner &) = delete;
+    JobRunner &operator=(const JobRunner &) = delete;
+
+    /** Schedule every job's `job_arrival` event. */
+    void scheduleArrivals();
+
+    /** Panic unless every job finished or was rejected. */
+    void checkDrained() const;
+
+    const std::vector<JobOutcome> &outcomes() const { return _outcomes; }
+    const std::vector<PoolSample> &timeline() const { return _timeline; }
+    int busyDevices() const;
+    std::size_t queuedJobs() const { return _queue.size(); }
+    std::size_t runningJobs() const { return _active.size(); }
+
+    /**
+     * Backing-store pool demand of @p spec on machine @p cfg: the
+     * remote bytes its TrainingSession will allocate — rounded to
+     * @p page_bytes, the device address spaces' placement granularity
+     * — summed over its devices (zero for designs without a backing
+     * store). Mirrors the remote mallocs of
+     * TrainingSession::allocateBuffers().
+     */
+    static std::uint64_t jobPoolBytes(const JobSpec &spec,
+                                      const Network &net,
+                                      const SystemConfig &cfg,
+                                      std::uint64_t page_bytes
+                                          = 2 * kMiB);
+
+  private:
+    /** One admitted, running job. */
+    struct ActiveJob
+    {
+        std::unique_ptr<TrainingSession> session;
+        std::shared_ptr<const Network> net;
+        PoolBlock block;
+        bool hasBlock = false;
+        int remainingIterations = 0;
+        /** Admission tick (trace span anchor). */
+        Tick startTick = 0;
+        /** Per-job trace track on the runner's process. */
+        std::string traceTrack;
+    };
+
+    void onArrival(std::size_t index);
+    void tryAdmit();
+    void startJob(std::size_t queue_pos);
+    void stepJob(std::size_t index);
+    void finishJob(std::size_t index);
+    void cleanupJob(std::size_t index);
+    void samplePool(const char *event, const std::string &job);
+
+    EventQueue &_eq;
+    System &_system;
+    Simulator &_networks;
+    MemoryPoolAllocator &_pool;
+    PoolAllocatorKind _allocator;
+    std::vector<JobSpec> _specs;
+    int _deviceCount;
+    std::unique_ptr<JobScheduler> _scheduler;
+    JobPlacement _placement;
+    std::uint64_t _pinnedBytes;
+    const char *_process;
+    TraceSink *_trace;
+    bool _progress;
+    std::set<int> _freeDevices;
+    std::vector<PendingJob> _queue;
+    std::map<std::size_t, ActiveJob> _active;
+    std::vector<JobOutcome> _outcomes;
+    std::vector<PoolSample> _timeline;
+    /// Job whose memory-induced head-of-line blocking was already
+    /// recorded (npos = none): one failure per blocked episode.
+    std::size_t _memoryBlockedJob = JobScheduler::npos;
+};
+
 /** Everything a cluster run produced. */
 class ClusterReport
 {
@@ -242,67 +360,16 @@ class Cluster
     /// @name Introspection (tests)
     /// @{
     System &system() { return *_system; }
-    MemoryPoolAllocator &pool() { return *_pool; }
-    const JobScheduler &scheduler() const { return *_scheduler; }
-    std::uint64_t poolCapacityBytes() const { return _poolCapacity; }
+    std::uint64_t poolCapacityBytes() const { return _pool->capacity(); }
     /// @}
 
-    /**
-     * Backing-store pool demand of @p spec on machine @p cfg: the
-     * remote bytes its TrainingSession will allocate — rounded to
-     * @p page_bytes, the device address spaces' placement granularity
-     * — summed over its devices (zero for designs without a backing
-     * store). Mirrors the remote mallocs of
-     * TrainingSession::allocateBuffers().
-     */
-    static std::uint64_t jobPoolBytes(const JobSpec &spec,
-                                      const Network &net,
-                                      const SystemConfig &cfg,
-                                      std::uint64_t page_bytes
-                                          = 2 * kMiB);
-
   private:
-    /** One admitted, running job. */
-    struct ActiveJob
-    {
-        std::unique_ptr<TrainingSession> session;
-        std::shared_ptr<const Network> net;
-        PoolBlock block;
-        bool hasBlock = false;
-        int remainingIterations = 0;
-        /** Admission tick (trace span anchor). */
-        Tick startTick = 0;
-        /** Per-job trace track on the "cluster" process. */
-        std::string traceTrack;
-    };
-
-    std::uint64_t computePoolCapacity() const;
-    /** Devices for a @p count -device job under the placement policy. */
-    std::vector<int> pickDevices(int count) const;
-    void onArrival(std::size_t index);
-    void tryAdmit();
-    void startJob(std::size_t queue_pos);
-    void stepJob(std::size_t index);
-    void finishJob(std::size_t index);
-    void cleanupJob(std::size_t index);
-    void samplePool(const char *event, const std::string &job);
-
     ClusterConfig _cfg;
-    std::vector<JobSpec> _specs;
     EventQueue _eq;
     std::unique_ptr<System> _system;
     Simulator _networks; ///< Workload network cache.
-    std::uint64_t _poolCapacity = 0;
     std::unique_ptr<MemoryPoolAllocator> _pool;
-    std::unique_ptr<JobScheduler> _scheduler;
-    std::set<int> _freeDevices;
-    std::vector<PendingJob> _queue;
-    std::map<std::size_t, ActiveJob> _active;
-    std::vector<JobOutcome> _outcomes;
-    std::vector<PoolSample> _timeline;
-    /// Job whose memory-induced head-of-line blocking was already
-    /// recorded (npos = none): one failure per blocked episode.
-    std::size_t _memoryBlockedJob = JobScheduler::npos;
+    std::unique_ptr<JobRunner> _runner;
     bool _ran = false;
 };
 

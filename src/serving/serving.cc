@@ -11,7 +11,6 @@
 #include "sim/logging.hh"
 #include "sim/simcheck.hh"
 #include "sim/trace.hh"
-#include "system/analytic_model.hh"
 
 namespace mcdla
 {
@@ -84,17 +83,10 @@ ServingCluster::ServingCluster(ServingConfig cfg,
                   "batches at %d", request.name.c_str(),
                   request.samples, _maxBatch);
 
-    _poolCapacity = sharedPoolCapacityBytes(*_system);
-    _pool = makePoolAllocator(_cfg.allocator, _poolCapacity);
+    _pool = makeSharedPool(*_system, _cfg.allocator);
     _policy = makeBatchPolicy(_cfg.base.batchPolicy, _maxBatch,
                               _cfg.base.batchTimeoutMs / 1e3);
     _router = makeRouter(_cfg.base.router);
-
-    // The pool replaces the static per-device carve-out, exactly as in
-    // the training cluster: capacity is enforced by the allocator, the
-    // address spaces only decide placement.
-    for (int d = 0; d < _system->numDevices(); ++d)
-        _system->addressSpace(d).uncapRemoteRegions(_poolCapacity);
 
     // Pin each replica's backing store for the whole run: a replica at
     // max batch demands the same remote buffers a single-device
@@ -104,7 +96,7 @@ ServingCluster::ServingCluster(ServingConfig cfg,
     replica_spec.mode = ParallelMode::DataParallel;
     replica_spec.batch = _maxBatch;
     replica_spec.devices = 1;
-    _replicaPool = Cluster::jobPoolBytes(
+    _replicaPool = JobRunner::jobPoolBytes(
         replica_spec, *_net, _system->config(),
         _system->addressSpace(0).pageBytes());
 
@@ -124,9 +116,6 @@ ServingCluster::ServingCluster(ServingConfig cfg,
         replica.hasBlock = true;
     }
 
-    for (int d = replicas; d < _system->numDevices(); ++d)
-        _freeTrainDevices.insert(d);
-
     _outcomes.resize(_stream.size());
     for (std::size_t i = 0; i < _stream.size(); ++i) {
         if (_stream[i].name.empty())
@@ -134,18 +123,17 @@ ServingCluster::ServingCluster(ServingConfig cfg,
         _outcomes[i].request = _stream[i];
     }
 
-    std::stable_sort(_cfg.trainingJobs.begin(),
-                     _cfg.trainingJobs.end(),
-                     [](const JobSpec &a, const JobSpec &b) {
-                         return a.arrivalSec < b.arrivalSec;
-                     });
-    _jobOutcomes.resize(_cfg.trainingJobs.size());
-    for (std::size_t j = 0; j < _cfg.trainingJobs.size(); ++j) {
-        if (_cfg.trainingJobs[j].name.empty())
-            _cfg.trainingJobs[j].name = "job" + std::to_string(j);
-        _jobOutcomes[j].spec = _cfg.trainingJobs[j];
-        _jobOutcomes[j].arrivalSec = _cfg.trainingJobs[j].arrivalSec;
-    }
+    // Co-located jobs queue FIFO on the lowest free non-replica
+    // devices; the replicas' pinned blocks count against feasibility.
+    std::vector<int> train_devices;
+    for (int d = replicas; d < _system->numDevices(); ++d)
+        train_devices.push_back(d);
+    _jobs = std::make_unique<JobRunner>(
+        *_system, _networks, *_pool, _cfg.allocator,
+        std::move(_cfg.trainingJobs), train_devices,
+        SchedulerKind::Fifo, JobPlacement::First,
+        _replicaPool * static_cast<std::uint64_t>(replicas), "serving",
+        _cfg.trace, _cfg.progress);
 }
 
 ServingReport
@@ -206,16 +194,7 @@ ServingCluster::run()
                          "request_arrival");
         }
     }
-    {
-        // Co-located training jobs queue on the FIFO scheduler.
-        CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Sched,
-                                 CausalCtx::Cluster);
-        for (std::size_t j = 0; j < _cfg.trainingJobs.size(); ++j) {
-            _eq.schedule(
-                secondsToTicks(_cfg.trainingJobs[j].arrivalSec),
-                [this, j] { onJobArrival(j); }, "job_arrival");
-        }
-    }
+    _jobs->scheduleArrivals();
     _eq.run();
 
     for (const Replica &replica : _replicas) {
@@ -224,21 +203,18 @@ ServingCluster::run()
                   "(%zu queued, busy=%d)", replica.device,
                   replica.queue.size(), replica.busy ? 1 : 0);
     }
-    if (!_jobQueue.empty() || !_activeJobs.empty())
-        panic("serving drained with training jobs still pending "
-              "(%zu queued, %zu running)", _jobQueue.size(),
-              _activeJobs.size());
+    _jobs->checkDrained();
     if (simcheck::enabled())
         simcheckVerifyRequestOutcomes(_outcomes);
 
     ServingReport report;
     report.requests = _outcomes;
-    report.trainingJobs = _jobOutcomes;
+    report.trainingJobs = _jobs->outcomes();
     report.makespanSec = ticksToSeconds(_eq.now());
     report.batchPolicy = _cfg.base.batchPolicy;
     report.router = _cfg.base.router;
     report.sloSec = _sloSec;
-    report.poolCapacity = _poolCapacity;
+    report.poolCapacity = _pool->capacity();
     report.poolPeakUsed = _pool->peakUsedBytes();
     report.replicas.reserve(_replicas.size());
     for (const Replica &replica : _replicas) {
@@ -505,197 +481,6 @@ ServingCluster::cleanupBatch(std::size_t r)
     replica.session.reset();
     replica.busy = false;
     maybeLaunch(r);
-}
-
-// ---------------------------------------------- co-located training
-
-void
-ServingCluster::onJobArrival(std::size_t index)
-{
-    const JobSpec &spec = _cfg.trainingJobs[index];
-    JobOutcome &outcome = _jobOutcomes[index];
-    const int train_devices = _system->numDevices()
-        - static_cast<int>(_replicas.size());
-
-    const Network &net = *_networks.network(spec.workload);
-    bool feasible = spec.devices >= 1 && spec.devices <= train_devices;
-    if (feasible && spec.mode == ParallelMode::Pipeline) {
-        const int stages = spec.pipelineStages > 0 ? spec.pipelineStages
-                                                   : spec.devices;
-        feasible = stages <= spec.devices
-            && static_cast<std::size_t>(stages) <= net.size()
-            && spec.microbatches >= 1
-            && spec.batch >= spec.microbatches;
-    } else if (feasible) {
-        feasible = spec.batch >= spec.devices;
-    }
-
-    std::uint64_t demand = 0;
-    if (feasible) {
-        demand = Cluster::jobPoolBytes(
-            spec, net, _system->config(),
-            _system->addressSpace(0).pageBytes());
-        // The replicas' pinned blocks shrink the pool for the whole
-        // run; a job that can never fit beside them is rejected.
-        if (demand > 0) {
-            const auto probe =
-                makePoolAllocator(_cfg.allocator, _poolCapacity);
-            std::uint64_t pinned = _replicaPool
-                * static_cast<std::uint64_t>(_replicas.size());
-            feasible = pinned < _poolCapacity
-                && probe->canAllocate(demand + pinned);
-        }
-    }
-    if (!feasible) {
-        outcome.rejected = true;
-        warn("serving cluster rejects %s: its shape (%d devices, %s "
-             "pool demand) cannot ever run beside %zu replicas",
-             spec.label().c_str(), spec.devices,
-             formatBytes(static_cast<double>(demand)).c_str(),
-             _replicas.size());
-        if (_cfg.trace != nullptr)
-            _cfg.trace->addInstant("serving", "rejected",
-                                   "reject " + spec.label(), _eq.now(),
-                                   "job");
-        return;
-    }
-
-    SystemConfig job_cfg = _system->config();
-    job_cfg.fabric.numDevices = spec.devices;
-    const AnalyticEstimate estimate = estimateIteration(
-        job_cfg, net, spec.mode, spec.batch, spec.pipelineStages,
-        spec.microbatches);
-    outcome.estSoloSec = estimate.upperBoundSec()
-        * static_cast<double>(spec.iterations);
-    outcome.poolBytes = demand;
-
-    _jobQueue.push_back(index);
-    tryAdmitJobs();
-}
-
-void
-ServingCluster::tryAdmitJobs()
-{
-    // FIFO over the non-replica devices: the serving cluster keeps
-    // admission simple — policy studies belong to cluster/Cluster.
-    while (!_jobQueue.empty()) {
-        const std::size_t index = _jobQueue.front();
-        const JobOutcome &outcome = _jobOutcomes[index];
-        if (outcome.spec.devices
-                > static_cast<int>(_freeTrainDevices.size())
-            || (outcome.poolBytes > 0
-                && !_pool->canAllocate(outcome.poolBytes)))
-            break;
-        _jobQueue.pop_front();
-        startJob(index);
-    }
-}
-
-void
-ServingCluster::startJob(std::size_t index)
-{
-    const JobSpec &spec = _cfg.trainingJobs[index];
-    JobOutcome &outcome = _jobOutcomes[index];
-
-    ActiveJob active;
-    if (outcome.poolBytes > 0) {
-        auto block = _pool->allocate(outcome.poolBytes);
-        if (!block)
-            panic("admitted %s but the pool cannot place %s",
-                  spec.label().c_str(),
-                  formatBytes(static_cast<double>(
-                      outcome.poolBytes)).c_str());
-        active.block = *block;
-        active.hasBlock = true;
-    }
-
-    auto it = _freeTrainDevices.begin();
-    for (int d = 0; d < spec.devices; ++d)
-        outcome.devices.push_back(*it++);
-    for (int d : outcome.devices)
-        _freeTrainDevices.erase(d);
-    outcome.startSec = ticksToSeconds(_eq.now());
-
-    active.net = _networks.network(spec.workload);
-    active.session = std::make_unique<TrainingSession>(
-        *_system, *active.net, spec.mode, spec.batch,
-        spec.pipelineStages, spec.microbatches, outcome.devices);
-    active.remainingIterations = spec.iterations;
-    active.startTick = _eq.now();
-    if (_cfg.trace != nullptr) {
-        active.traceTrack =
-            "job" + std::to_string(index) + " " + spec.name;
-        const Tick arrival = secondsToTicks(spec.arrivalSec);
-        if (_eq.now() > arrival)
-            _cfg.trace->addSpan("serving", active.traceTrack,
-                                "queued " + spec.label(), arrival,
-                                _eq.now() - arrival, "queue");
-        active.session->setTraceSink(_cfg.trace);
-        const std::uint64_t flow = _cfg.trace->newFlow();
-        _cfg.trace->flowBegin("serving", active.traceTrack, "dispatch",
-                              _eq.now(), flow, "job");
-        active.session->setIterationFlow(flow);
-    }
-    _activeJobs.emplace(index, std::move(active));
-
-    if (_cfg.progress)
-        inform("t=%.4fs start %s beside %zu serving replicas",
-               outcome.startSec, spec.label().c_str(),
-               _replicas.size());
-    stepJob(index);
-}
-
-void
-ServingCluster::stepJob(std::size_t index)
-{
-    ActiveJob &active = _activeJobs.at(index);
-    active.session->startIteration(
-        [this, index](const IterationResult &result) {
-            ActiveJob &job = _activeJobs.at(index);
-            _jobOutcomes[index].lastIteration = result;
-            if (--job.remainingIterations > 0) {
-                stepJob(index);
-                return;
-            }
-            finishJob(index);
-        });
-}
-
-void
-ServingCluster::finishJob(std::size_t index)
-{
-    JobOutcome &outcome = _jobOutcomes[index];
-    outcome.finishSec = ticksToSeconds(_eq.now());
-    outcome.completed = true;
-    if (_cfg.trace != nullptr) {
-        const ActiveJob &job = _activeJobs.at(index);
-        _cfg.trace->addSpan("serving", job.traceTrack,
-                            "run " + outcome.spec.label(),
-                            job.startTick, _eq.now() - job.startTick,
-                            "job");
-    }
-    if (_cfg.progress)
-        inform("t=%.4fs finish %s (JCT %.3fs)", outcome.finishSec,
-               outcome.spec.label().c_str(), outcome.jctSec());
-    CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Sched,
-                             CausalCtx::Cluster);
-    _eq.schedule(_eq.now(), [this, index] { cleanupJob(index); },
-                 "job_cleanup");
-}
-
-void
-ServingCluster::cleanupJob(std::size_t index)
-{
-    auto it = _activeJobs.find(index);
-    if (it == _activeJobs.end())
-        panic("cleanup of job %zu which is not active", index);
-    it->second.session->releaseBuffers();
-    for (int d : _jobOutcomes[index].devices)
-        _freeTrainDevices.insert(d);
-    if (it->second.hasBlock)
-        _pool->release(it->second.block);
-    _activeJobs.erase(it);
-    tryAdmitJobs();
 }
 
 // ------------------------------------------------------------- report

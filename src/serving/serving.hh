@@ -14,16 +14,18 @@
  * replica's queue becomes a batch; a ReplicaRouter decides which queue
  * an arriving request joins.
  *
- * The mixed mode co-locates training: JobSpecs admitted FIFO onto the
- * remaining devices, running as ordinary TrainingSessions on the same
- * EventQueue/System — their collectives and paging DMA contend with
- * the replicas' traffic on the shared ring segments and memory-node
- * DIMM buses, so serving-under-training interference is measured, not
- * assumed. On the mc-b ring that contention is spatially asymmetric
- * (a replica neighboring the training gang shares its memory nodes;
- * one in the middle of the serving range does not), which is exactly
- * the signal the SLO-aware router's observed-service-rate predictions
- * exploit and queue-depth balancing cannot.
+ * The mixed mode co-locates training: JobSpecs run through the
+ * cluster's job path (a JobRunner with FIFO admission over the
+ * remaining devices, the replica pins counted against feasibility) as
+ * ordinary TrainingSessions on the same EventQueue/System. Their
+ * collectives and paging DMA contend with the replicas' traffic on the
+ * shared ring segments and memory-node DIMM buses, so
+ * serving-under-training interference is measured, not assumed. On
+ * the mc-b ring that contention is spatially asymmetric (a replica
+ * neighboring the training gang shares its memory nodes; one in the
+ * middle of the serving range does not), which is exactly the signal
+ * the SLO-aware router's observed-service-rate predictions exploit and
+ * queue-depth balancing cannot.
  *
  * The run produces a ServingReport: per-request latency breakdowns
  * (queue/batch/compute/paging), p50/p95/p99 tails, per-replica
@@ -72,7 +74,10 @@ struct ServingConfig
      * shedding — every request is admitted.
      */
     double admitGraceFactor = 0.0;
-    /** Training jobs co-located on the non-replica devices (FIFO). */
+    /**
+     * Training jobs co-located on the non-replica devices, through the
+     * cluster's job path (JobRunner: fifo scheduler, first placement).
+     */
     std::vector<JobSpec> trainingJobs;
     /** inform() on every batch launch/completion. */
     bool progress = false;
@@ -83,7 +88,7 @@ struct ServingConfig
      * Chrome-tracing sink: async request spans (arrival to reply) on
      * the "serving" process, per-replica batch spans, shed-request
      * instants, batch->first-op dispatch flows, plus co-located
-     * training-job lifecycle spans mirroring cluster/Cluster.
+     * training-job lifecycle spans (JobRunner's, on this process).
      */
     TraceSink *trace = nullptr;
     /**
@@ -235,7 +240,7 @@ class ServingCluster
     /// @name Introspection (tests)
     /// @{
     System &system() { return *_system; }
-    std::uint64_t poolCapacityBytes() const { return _poolCapacity; }
+    std::uint64_t poolCapacityBytes() const { return _pool->capacity(); }
     /** Pool bytes pinned per replica for the whole run. */
     std::uint64_t replicaPoolBytes() const { return _replicaPool; }
     /// @}
@@ -267,20 +272,6 @@ class ServingCluster
         int peakQueueSamples = 0;
     };
 
-    /** One admitted, running training job. */
-    struct ActiveJob
-    {
-        std::unique_ptr<TrainingSession> session;
-        std::shared_ptr<const Network> net;
-        PoolBlock block;
-        bool hasBlock = false;
-        int remainingIterations = 0;
-        /** Admission tick (trace span anchor). */
-        Tick startTick = 0;
-        /** Per-job trace track on the "serving" process. */
-        std::string traceTrack;
-    };
-
     ReplicaLoad loadView(const Replica &replica) const;
     void onRequestArrival(std::size_t index);
     void maybeLaunch(std::size_t r);
@@ -288,20 +279,12 @@ class ServingCluster
     void onBatchDone(std::size_t r, const IterationResult &result);
     void cleanupBatch(std::size_t r);
 
-    void onJobArrival(std::size_t index);
-    void tryAdmitJobs();
-    void startJob(std::size_t queue_pos);
-    void stepJob(std::size_t index);
-    void finishJob(std::size_t index);
-    void cleanupJob(std::size_t index);
-
     ServingConfig _cfg;
     std::vector<Request> _stream;
     EventQueue _eq;
     std::unique_ptr<System> _system;
     Simulator _networks; ///< Workload network cache.
     std::shared_ptr<const Network> _net; ///< The replicated model.
-    std::uint64_t _poolCapacity = 0;
     std::uint64_t _replicaPool = 0;
     std::unique_ptr<MemoryPoolAllocator> _pool;
     std::unique_ptr<BatchPolicy> _policy;
@@ -312,12 +295,8 @@ class ServingCluster
     std::vector<RequestOutcome> _outcomes;
     /** Arrivals processed; the stream is drained when it hits size. */
     std::size_t _arrived = 0;
-
-    // Co-located training (mirrors cluster/Cluster, FIFO admission).
-    std::set<int> _freeTrainDevices;
-    std::deque<std::size_t> _jobQueue;
-    std::map<std::size_t, ActiveJob> _activeJobs;
-    std::vector<JobOutcome> _jobOutcomes;
+    /** Co-located training on the non-replica devices. */
+    std::unique_ptr<JobRunner> _jobs;
     bool _ran = false;
 };
 

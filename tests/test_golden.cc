@@ -26,12 +26,17 @@ namespace mcdla
 namespace
 {
 
-/** One checked-in golden: mcdla_sim arguments and the stream hash. */
+/**
+ * One checked-in golden: mcdla_sim arguments, the `--job-trace` text
+ * of co-located training jobs (--serve only; nullptr for none), and
+ * the stream hash.
+ */
 struct Golden
 {
     const char *name;
     std::vector<const char *> args;
     bool cluster;
+    const char *jobTrace;
     std::uint64_t hash;
 };
 
@@ -65,6 +70,10 @@ streamHash(const Golden &golden)
         ServingConfig cfg;
         cfg.base = prototype;
         cfg.profiler = &profiler;
+        if (golden.jobTrace != nullptr) {
+            std::istringstream trace(golden.jobTrace);
+            cfg.trainingJobs = parseJobTrace(trace);
+        }
         Random rng(prototype.seed);
         ServingCluster serving(
             cfg, synthesizeRequests(static_cast<int>(prototype.requests),
@@ -108,17 +117,30 @@ TEST_P(GoldenStream, MatchesCheckedInHash)
     EXPECT_EQ(hex(streamHash(GetParam())), hex(GetParam().hash));
 }
 
+/**
+ * Co-located training for serve_colocated: three jobs on the six
+ * non-replica devices. job1 cannot start until job0 frees its devices,
+ * and job2 would fit beside job0 but FIFO holds it behind job1.
+ */
+const char *const kColocatedJobs =
+    "arrival=0 workload=AlexNet batch=256 devices=4 iterations=2\n"
+    "arrival=0.001 workload=AlexNet batch=128 devices=4\n"
+    "arrival=0.002 workload=AlexNet batch=64 devices=1\n";
+
 const Golden kGoldens[] = {
-    {"dp", {}, false, 0xf4f825d3c809d518ULL},
+    {"dp", {}, false, nullptr, 0xf4f825d3c809d518ULL},
     {"mp_alexnet", {"--mode", "mp", "--workload", "AlexNet"}, false,
-     0xca2201c1cfdb7909ULL},
-    {"pp", {"--mode", "pp"}, false, 0x52a498e1877b4e6eULL},
-    {"cluster_8jobs", {}, true, 0xa2be7f68658f3aa5ULL},
-    {"serve", {"--serve"}, false, 0xdd0f2a29774e88eeULL},
-    {"tree", {"--collective", "tree"}, false, 0x232144b683530cf1ULL},
+     nullptr, 0xca2201c1cfdb7909ULL},
+    {"pp", {"--mode", "pp"}, false, nullptr, 0x52a498e1877b4e6eULL},
+    {"cluster_8jobs", {}, true, nullptr, 0xa2be7f68658f3aa5ULL},
+    {"serve", {"--serve"}, false, nullptr, 0xdd0f2a29774e88eeULL},
+    {"tree", {"--collective", "tree"}, false, nullptr,
+     0x232144b683530cf1ULL},
     {"hierarchical_16dev",
      {"--collective", "hierarchical", "--devices", "16"}, false,
-     0x7cdb5f5fab29db3aULL},
+     nullptr, 0x7cdb5f5fab29db3aULL},
+    {"serve_colocated", {"--serve"}, false, kColocatedJobs,
+     0xbb87541893c40e0dULL},
 };
 
 std::string

@@ -573,6 +573,116 @@ TEST_F(ServingTest, ReportTablesCarryTheRunsAccounting)
               report.latencyPercentileMs(50.0));
 }
 
+// ------------------------------------------- co-located training jobs
+
+/** An mc-b AlexNet serving machine with a short request stream. */
+Scenario
+coLocationMachine(int replicas)
+{
+    Scenario sc;
+    sc.design = SystemDesign::McDlaB;
+    sc.workload = "AlexNet";
+    sc.serve = true;
+    sc.replicas = replicas;
+    sc.globalBatch = 8;
+    return sc;
+}
+
+JobSpec
+coLocatedJob(const char *workload, std::int64_t batch, int devices)
+{
+    JobSpec job;
+    job.workload = workload;
+    job.batch = batch;
+    job.devices = devices;
+    return job;
+}
+
+TEST_F(ServingTest, CoLocatedJobWiderThanTheNonReplicaDevicesIsRejected)
+{
+    // Two replicas leave six devices: a seven-device job fits the
+    // eight-device machine but never the non-replica share.
+    Random rng(1);
+    ServingConfig cfg;
+    cfg.base = coLocationMachine(2);
+    cfg.trainingJobs = {coLocatedJob("AlexNet", 64, 7)};
+    ServingCluster serving(
+        cfg, synthesizeRequests(8, 200.0, ArrivalKind::Poisson, rng));
+    const ServingReport report = serving.run();
+
+    ASSERT_EQ(report.trainingJobs.size(), 1u);
+    EXPECT_TRUE(report.trainingJobs[0].rejected);
+    EXPECT_FALSE(report.trainingJobs[0].completed);
+    EXPECT_TRUE(report.trainingJobs[0].devices.empty());
+    EXPECT_EQ(report.completedRequests(), 8u);
+}
+
+TEST_F(ServingTest, CoLocatedJobThatFitsOnlyAnEmptyPoolIsRejected)
+{
+    // A 64 GiB pool (one 8 GiB DIMM per memory-node) with one VGG-E
+    // replica pinned at max batch 512 (~29 GiB): a two-device VGG-E
+    // job at batch 1024 (~58 GiB) fits the empty pool but never
+    // beside the pinned block.
+    Scenario sc = coLocationMachine(1);
+    sc.workload = "VGG-E";
+    sc.globalBatch = 512;
+    sc.base.memNode.dimm = dimmByCapacityGib(8);
+    sc.base.memNode.numDimms = 1;
+    Request request;
+    request.samples = 1;
+    ServingConfig cfg;
+    cfg.base = sc;
+    cfg.trainingJobs = {coLocatedJob("VGG-E", 1024, 2)};
+    ServingCluster serving(cfg, {request});
+
+    Simulator networks;
+    const std::uint64_t demand = JobRunner::jobPoolBytes(
+        cfg.trainingJobs[0], *networks.network("VGG-E"),
+        serving.system().config(),
+        serving.system().addressSpace(0).pageBytes());
+    const std::uint64_t capacity = serving.poolCapacityBytes();
+    ASSERT_EQ(capacity, 64 * kGiB);
+    ASSERT_LE(demand, capacity);
+    ASSERT_GT(demand + serving.replicaPoolBytes(), capacity);
+
+    const ServingReport report = serving.run();
+    ASSERT_EQ(report.trainingJobs.size(), 1u);
+    EXPECT_TRUE(report.trainingJobs[0].rejected);
+    EXPECT_EQ(report.completedRequests(), 1u);
+}
+
+TEST_F(ServingTest, CoLocatedJobsThatCannotOverlapRunBackToBack)
+{
+    // Four replicas leave devices 4..7: the second job (three devices)
+    // waits for the first (four) and starts the tick it finishes.
+    const int replicas = 4;
+    Random rng(1);
+    ServingConfig cfg;
+    cfg.base = coLocationMachine(replicas);
+    cfg.trainingJobs = {coLocatedJob("AlexNet", 64, 4),
+                        coLocatedJob("AlexNet", 48, 3)};
+    ServingCluster serving(
+        cfg, synthesizeRequests(8, 200.0, ArrivalKind::Poisson, rng));
+    const ServingReport report = serving.run();
+
+    ASSERT_EQ(report.trainingJobs.size(), 2u);
+    const JobOutcome &first = report.trainingJobs[0];
+    const JobOutcome &second = report.trainingJobs[1];
+    ASSERT_TRUE(first.completed);
+    ASSERT_TRUE(second.completed);
+    EXPECT_EQ(first.spec.name, "job0");
+    EXPECT_DOUBLE_EQ(first.startSec, 0.0);
+    EXPECT_DOUBLE_EQ(second.startSec, first.finishSec);
+    EXPECT_GT(second.queueSec(), 0.0);
+    for (const JobOutcome &job : report.trainingJobs) {
+        EXPECT_EQ(job.devices.size(),
+                  static_cast<std::size_t>(job.spec.devices));
+        for (int d : job.devices)
+            EXPECT_GE(d, replicas);
+    }
+    EXPECT_EQ(report.completedRequests(), 8u);
+}
+
 TEST_F(ServingTest, ClusterJctPercentilesUseTheSharedHelper)
 {
     ClusterReport report;

@@ -232,6 +232,68 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
     }
 }
 
+/** A --serve run as the options describe it, before observers. */
+struct ServingInputs
+{
+    ServingConfig cfg;
+    std::vector<Request> stream;
+};
+
+/**
+ * The serving machine and policies, the co-located --job-trace jobs,
+ * and the request stream (--request-trace, or --requests synthetic
+ * arrivals seeded by --seed).
+ */
+ServingInputs
+servingInputs(const OptionParser &opts, const Scenario &prototype)
+{
+    ServingInputs in;
+    in.cfg.base = prototype;
+    in.cfg.allocator = parsePoolAllocator(opts.getString("allocator"));
+    if (!opts.getString("job-trace").empty())
+        in.cfg.trainingJobs = loadJobTrace(opts.getString("job-trace"));
+    if (!opts.getString("request-trace").empty()) {
+        in.stream = loadRequestTrace(opts.getString("request-trace"));
+    } else {
+        Random rng(prototype.seed);
+        in.stream = synthesizeRequests(
+            static_cast<int>(prototype.requests), prototype.requestRate,
+            prototype.arrivals, rng);
+    }
+    return in;
+}
+
+/** A --cluster run as the options describe it, before observers. */
+struct ClusterInputs
+{
+    ClusterConfig cfg;
+    std::vector<JobSpec> jobs;
+};
+
+/**
+ * The cluster machine and policies and the job stream (--job-trace, or
+ * --jobs synthetic arrivals at --arrival-rate seeded by --seed).
+ */
+ClusterInputs
+clusterInputs(const OptionParser &opts, const Scenario &prototype)
+{
+    ClusterInputs in;
+    in.cfg.base = prototype;
+    in.cfg.scheduler = parseScheduler(opts.getString("scheduler"));
+    in.cfg.allocator = parsePoolAllocator(opts.getString("allocator"));
+    in.cfg.placement = parseJobPlacement(opts.getString("placement"));
+    if (!opts.getString("job-trace").empty()) {
+        in.jobs = loadJobTrace(opts.getString("job-trace"));
+    } else {
+        const int count =
+            opts.wasSet("jobs") ? static_cast<int>(opts.getInt("jobs")) : 8;
+        Random rng(prototype.seed);
+        in.jobs = synthesizeJobs(count, opts.getDouble("arrival-rate"),
+                                 prototype.base.fabric.numDevices, rng);
+    }
+    return in;
+}
+
 /** One --audit-determinism run: the event-stream digest. */
 struct AuditRun
 {
@@ -250,49 +312,14 @@ auditRunOnce(const OptionParser &opts, const Scenario &prototype)
 {
     DesProfiler profiler;
     if (prototype.serve) {
-        ServingConfig cfg;
-        cfg.base = prototype;
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.progress = false;
-        if (!opts.getString("job-trace").empty())
-            cfg.trainingJobs =
-                loadJobTrace(opts.getString("job-trace"));
-        cfg.profiler = &profiler;
-        std::vector<Request> stream;
-        if (!opts.getString("request-trace").empty()) {
-            stream = loadRequestTrace(opts.getString("request-trace"));
-        } else {
-            Random rng(prototype.seed);
-            stream = synthesizeRequests(
-                static_cast<int>(prototype.requests),
-                prototype.requestRate, prototype.arrivals, rng);
-        }
-        ServingCluster serving(cfg, std::move(stream));
+        ServingInputs in = servingInputs(opts, prototype);
+        in.cfg.profiler = &profiler;
+        ServingCluster serving(in.cfg, std::move(in.stream));
         (void)serving.run();
     } else if (opts.getFlag("cluster")) {
-        ClusterConfig cfg;
-        cfg.base = prototype;
-        cfg.scheduler = parseScheduler(opts.getString("scheduler"));
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.placement = parseJobPlacement(opts.getString("placement"));
-        cfg.progress = false;
-        cfg.profiler = &profiler;
-        std::vector<JobSpec> jobs;
-        if (!opts.getString("job-trace").empty()) {
-            jobs = loadJobTrace(opts.getString("job-trace"));
-        } else {
-            const int count = opts.wasSet("jobs")
-                ? static_cast<int>(opts.getInt("jobs"))
-                : 8;
-            Random rng(prototype.seed);
-            jobs = synthesizeJobs(count,
-                                  opts.getDouble("arrival-rate"),
-                                  prototype.base.fabric.numDevices,
-                                  rng);
-        }
-        Cluster cluster(cfg, std::move(jobs));
+        ClusterInputs in = clusterInputs(opts, prototype);
+        in.cfg.profiler = &profiler;
+        Cluster cluster(in.cfg, std::move(in.jobs));
         (void)cluster.run();
     } else {
         // A fresh Simulator per run: the network cache is read-only
@@ -560,17 +587,12 @@ main(int argc, char **argv)
         if (!opts.getString("channel-csv").empty())
             warn("--channel-csv applies to single-machine sweeps; "
                  "ignoring it in --serve mode");
-        ServingConfig cfg;
-        cfg.base = prototype;
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.progress = LogConfig::verbose;
-        if (!opts.getString("job-trace").empty())
-            cfg.trainingJobs =
-                loadJobTrace(opts.getString("job-trace"));
         if (opts.getFlag("stats"))
             warn("--stats applies to single-machine sweeps; ignoring "
                  "it in --serve mode");
+        ServingInputs in = servingInputs(opts, prototype);
+        ServingConfig &cfg = in.cfg;
+        cfg.progress = LogConfig::verbose;
         Observers obs;
         setupObservers(opts, obs);
         if (obs.wantTrace)
@@ -582,17 +604,7 @@ main(int argc, char **argv)
         if (obs.wantCausal)
             cfg.causal = &obs.causal;
 
-        std::vector<Request> stream;
-        if (!opts.getString("request-trace").empty()) {
-            stream = loadRequestTrace(opts.getString("request-trace"));
-        } else {
-            Random rng(prototype.seed);
-            stream = synthesizeRequests(
-                static_cast<int>(prototype.requests),
-                prototype.requestRate, prototype.arrivals, rng);
-        }
-
-        ServingCluster serving(cfg, std::move(stream));
+        ServingCluster serving(cfg, std::move(in.stream));
         const ServingReport report = serving.run();
 
         std::cout << systemDesignName(prototype.design) << " serving, "
@@ -693,16 +705,12 @@ main(int argc, char **argv)
         if (!opts.getString("channel-csv").empty())
             warn("--channel-csv applies to single-machine sweeps; "
                  "ignoring it in --cluster mode");
-        ClusterConfig cfg;
-        cfg.base = prototype;
-        cfg.scheduler = parseScheduler(opts.getString("scheduler"));
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.placement = parseJobPlacement(opts.getString("placement"));
-        cfg.progress = LogConfig::verbose;
         if (opts.getFlag("stats"))
             warn("--stats applies to single-machine sweeps; ignoring "
                  "it in --cluster mode");
+        ClusterInputs in = clusterInputs(opts, prototype);
+        ClusterConfig &cfg = in.cfg;
+        cfg.progress = LogConfig::verbose;
         Observers obs;
         setupObservers(opts, obs);
         if (obs.wantTrace)
@@ -714,21 +722,7 @@ main(int argc, char **argv)
         if (obs.wantCausal)
             cfg.causal = &obs.causal;
 
-        std::vector<JobSpec> jobs;
-        if (!opts.getString("job-trace").empty()) {
-            jobs = loadJobTrace(opts.getString("job-trace"));
-        } else {
-            const int count = opts.wasSet("jobs")
-                ? static_cast<int>(opts.getInt("jobs"))
-                : 8;
-            Random rng(prototype.seed);
-            jobs = synthesizeJobs(count,
-                                  opts.getDouble("arrival-rate"),
-                                  prototype.base.fabric.numDevices,
-                                  rng);
-        }
-
-        Cluster cluster(cfg, std::move(jobs));
+        Cluster cluster(cfg, std::move(in.jobs));
         const ClusterReport report = cluster.run();
 
         std::cout << systemDesignName(prototype.design) << " cluster, "
