@@ -32,12 +32,13 @@ class DeviceNode : public SimObject
      */
     DeviceNode(EventQueue &eq, std::string name, const DeviceConfig &cfg)
         : SimObject(eq, std::move(name)), _cfg(cfg), _model(cfg),
-          _busyUntil(0)
-    {
-        stats().scalar("compute_busy_ticks",
-                       "total ticks the compute engine was busy");
-        stats().scalar("ops_executed", "layer passes executed");
-    }
+          _busyUntil(0),
+          _statBusyTicks(stats().scalar(
+              "compute_busy_ticks",
+              "total ticks the compute engine was busy")),
+          _statOps(stats().scalar("ops_executed",
+                                  "layer passes executed"))
+    {}
 
     const DeviceConfig &config() const { return _cfg; }
     const ComputeModel &computeModel() const { return _model; }
@@ -55,9 +56,8 @@ class DeviceNode : public SimObject
     {
         const Tick start = std::max(earliest, _busyUntil);
         _busyUntil = start + duration;
-        stats().scalar("compute_busy_ticks")
-            += static_cast<double>(duration);
-        ++stats().scalar("ops_executed");
+        _statBusyTicks += static_cast<double>(duration);
+        ++_statOps;
         return _busyUntil;
     }
 
@@ -75,6 +75,9 @@ class DeviceNode : public SimObject
     DeviceConfig _cfg;
     ComputeModel _model;
     Tick _busyUntil;
+    /** Resolved once: occupyCompute() runs on every op. */
+    Scalar &_statBusyTicks;
+    Scalar &_statOps;
 };
 
 } // namespace mcdla

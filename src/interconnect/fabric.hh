@@ -143,6 +143,7 @@ class Fabric
     {
         _channels.push_back(std::make_unique<Channel>(
             _eq, _name + "." + name, bandwidth, latency));
+        _channelPtrs.push_back(_channels.back().get());
         return *_channels.back();
     }
 
@@ -217,16 +218,8 @@ class Fabric
         return _memNodeChannels;
     }
 
-    /** All owned channels (stats enumeration). */
-    std::vector<Channel *>
-    channels() const
-    {
-        std::vector<Channel *> out;
-        out.reserve(_channels.size());
-        for (const auto &ch : _channels)
-            out.push_back(ch.get());
-        return out;
-    }
+    /** All owned channels, creation order (stats enumeration). */
+    const std::vector<Channel *> &channels() const { return _channelPtrs; }
 
     /** Total bytes that crossed host-socket DRAM channels. */
     double
@@ -270,6 +263,8 @@ class Fabric
         construction; collectives re-resolve pairs every launch). */
     mutable std::map<std::pair<int, int>, Route> _routeCache;
     std::vector<std::unique_ptr<Channel>> _channels;
+    /** Non-owning view of _channels, handed out by channels(). */
+    std::vector<Channel *> _channelPtrs;
     std::vector<RingPath> _rings;
     std::map<int, std::vector<VmemPath>> _vmemPaths;
     std::vector<Channel *> _socketChannels;

@@ -94,14 +94,30 @@ ParallelStrategy::ParallelStrategy(const Network &net, ParallelMode mode,
         return;
     }
 
-    if (global_batch < num_devices)
+    checkSpmdBatch();
+}
+
+void
+ParallelStrategy::setGlobalBatch(std::int64_t global_batch)
+{
+    if (_mode == ParallelMode::Pipeline)
+        panic("pipeline strategies cannot change their global batch "
+              "(the stage partition is balanced for it)");
+    _globalBatch = global_batch;
+    checkSpmdBatch();
+}
+
+void
+ParallelStrategy::checkSpmdBatch() const
+{
+    if (_globalBatch < _numDevices)
         fatal("global batch %lld smaller than device count %d",
-              static_cast<long long>(global_batch), num_devices);
-    if (mode == ParallelMode::DataParallel
-        && global_batch % num_devices != 0) {
+              static_cast<long long>(_globalBatch), _numDevices);
+    if (_mode == ParallelMode::DataParallel
+        && _globalBatch % _numDevices != 0) {
         warn("global batch %lld not divisible by %d devices; using "
              "floor division",
-             static_cast<long long>(global_batch), num_devices);
+             static_cast<long long>(_globalBatch), _numDevices);
     }
 }
 

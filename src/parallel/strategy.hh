@@ -105,6 +105,14 @@ class ParallelStrategy
     std::int64_t globalBatch() const { return _globalBatch; }
 
     /**
+     * Re-target a data- or model-parallel strategy at another global
+     * batch (same checks as the constructor). Every batch-dependent
+     * query follows; pipeline strategies panic, since their stage
+     * partition is balanced for the constructed batch.
+     */
+    void setGlobalBatch(std::int64_t global_batch);
+
+    /**
      * Per-device batch size: the batch one layer execution processes
      * (a microbatch under pipeline parallelism).
      */
@@ -191,6 +199,9 @@ class ParallelStrategy
     /// @}
 
   private:
+    /** Batch checks of the data/model-parallel modes. */
+    void checkSpmdBatch() const;
+
     const Network &_net;
     ParallelMode _mode;
     int _numDevices;

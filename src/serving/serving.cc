@@ -380,14 +380,19 @@ ServingCluster::launchBatch(std::size_t r)
     replica.batchStartTick = _eq.now();
     replica.inflightSamples = batch_samples;
 
-    replica.session = std::make_unique<TrainingSession>(
-        *_system, *_net, ParallelMode::DataParallel, batch_samples,
-        /*pipeline_stages=*/0, /*microbatches=*/1,
-        std::vector<int>{replica.device}, /*forward_only=*/true);
+    if (replica.session == nullptr) {
+        // Built at the replica's first batch and rearmed for every
+        // batch, this one included.
+        replica.session = std::make_unique<TrainingSession>(
+            *_system, *_net, ParallelMode::DataParallel, _maxBatch,
+            /*pipeline_stages=*/0, /*microbatches=*/1,
+            std::vector<int>{replica.device}, /*forward_only=*/true);
+        replica.session->setTraceSink(_cfg.trace);
+    }
+    replica.session->rearm(batch_samples);
     if (_cfg.trace != nullptr) {
         // A flow arrow links the batch span (emitted when it
         // completes) to the batch's first compute op on the device.
-        replica.session->setTraceSink(_cfg.trace);
         const std::uint64_t flow = _cfg.trace->newFlow();
         _cfg.trace->flowBegin("serving",
                               "replica" + std::to_string(r),
@@ -463,10 +468,10 @@ ServingCluster::onBatchDone(std::size_t r,
                batch_samples, service * 1e3,
                replica.ewmaPerSampleSec * 1e3);
 
-    // Tear down from a fresh event: the session is live on the call
-    // stack (this runs inside its completion callback). Cleanup
-    // launches the next coalesced batch, so queued requests' service
-    // hangs off it as batch-wait edges.
+    // Free the batch's buffers from a fresh event: the session is live
+    // on the call stack (this runs inside its completion callback).
+    // Cleanup launches the next coalesced batch, so queued requests'
+    // service hangs off it as batch-wait edges.
     CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Batch,
                              CausalCtx::Serving);
     _eq.schedule(_eq.now(), [this, r] { cleanupBatch(r); },
@@ -478,7 +483,6 @@ ServingCluster::cleanupBatch(std::size_t r)
 {
     Replica &replica = _replicas[r];
     replica.session->releaseBuffers();
-    replica.session.reset();
     replica.busy = false;
     maybeLaunch(r);
 }

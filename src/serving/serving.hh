@@ -7,10 +7,11 @@
  * one catalog workload — serve an open-loop request stream on devices
  * 0..N-1 of a composed System. Each replica's backing store is pinned
  * in the shared memory-node pool (MemoryPoolAllocator) for the whole
- * run; each coalesced batch runs as a fresh forward-only session
- * driven through the async startIteration() API, so its compute is
- * priced by the batch-sensitive roofline model and its paging DMA
- * rides the real fabric channels. A BatchPolicy decides when a
+ * run. Each replica owns one forward-only session, built at its first
+ * batch and rearmed (TrainingSession::rearm) for every coalesced batch,
+ * then driven through the async startIteration() API, so each batch's
+ * compute is priced by the batch-sensitive roofline model and its
+ * paging DMA rides the real fabric channels. A BatchPolicy decides when a
  * replica's queue becomes a batch; a ReplicaRouter decides which queue
  * an arriving request joins.
  *
@@ -260,6 +261,8 @@ class ServingCluster
         double batchStartSec = 0.0;
         /** Launch tick of the in-flight batch (trace span anchor). */
         Tick batchStartTick = 0;
+        /** The replica's forward-only session (built at its first
+            batch, rearmed per batch). */
         std::unique_ptr<TrainingSession> session;
         PoolBlock block;
         bool hasBlock = false;

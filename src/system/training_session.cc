@@ -87,16 +87,15 @@ TrainingSession::groupId(LayerId layer, int microbatch) const
 }
 
 void
-TrainingSession::buildSchedule()
+TrainingSession::computeTimings()
 {
     const ComputeModel &model =
         _system.device(sysDev(0)).computeModel();
-    const auto layer_count = static_cast<LayerId>(_net.size());
-
-    _timings.clear();
-    for (LayerId id = 0; id < layer_count; ++id)
-        _timings.push_back(model.layerTiming(
-            _net.layer(id), _strategy.scaling(_net.layer(id))));
+    _timings.resize(_net.size());
+    for (std::size_t id = 0; id < _timings.size(); ++id) {
+        const Layer &layer = _net.layer(static_cast<LayerId>(id));
+        _timings[id] = model.layerTiming(layer, _strategy.scaling(layer));
+    }
 
     // What-if validation knob: uniformly rescale compute durations
     // (SystemConfig::computeTimeScale). Guarded so the default 1.0
@@ -116,6 +115,13 @@ TrainingSession::buildSchedule()
                 static_cast<double>(timing.weightUpdate) * scale));
         }
     }
+}
+
+void
+TrainingSession::buildSchedule()
+{
+    const auto layer_count = static_cast<LayerId>(_net.size());
+    computeTimings();
 
     if (_strategy.isPipeline()) {
         buildPipelineSchedule();
@@ -158,7 +164,9 @@ TrainingSession::buildSchedule()
     // Inference stops here: no backward pass, no weight updates, no dW
     // all-reduce. The forward ops above keep their produces/writeback
     // actions, so a serving replica still drives real paging DMA; its
-    // stashes are never read back — the session is torn down per batch.
+    // stashes are never read back — each batch's buffers are freed
+    // when it completes, and rearm() re-sizes the program for the
+    // next one.
     if (_forwardOnly)
         return;
 
@@ -221,6 +229,24 @@ TrainingSession::buildSchedule()
             last_reader[layer] = i;
     for (const auto &[layer, op_index] : last_reader)
         _pagingSchedule[op_index].releases.push_back(layer);
+}
+
+void
+TrainingSession::rearm(std::int64_t global_batch)
+{
+    if (!_forwardOnly)
+        panic("only forward-only sessions are rearmed per batch");
+    if (_allocated)
+        panic("session rearmed while it holds its buffers");
+    // The op program (one forward op per layer, topological order), the
+    // paging schedule and the offload plan do not depend on the batch;
+    // only the op durations and sync sizes do.
+    _strategy.setGlobalBatch(global_batch);
+    computeTimings();
+    for (OpSpec &op : _ops) {
+        op.duration = _timings[static_cast<std::size_t>(op.layer)].forward;
+        op.syncAfter = _strategy.forwardSync(op.layer);
+    }
 }
 
 void
@@ -542,16 +568,17 @@ TrainingSession::releaseBuffers()
         return;
     for (int d = 0; d < deviceCount(); ++d) {
         VmemRuntime &rt = _system.runtime(sysDev(d));
-        for (const auto &[group, ptr] :
-             _remotePtrs[static_cast<std::size_t>(d)])
+        for (RemotePtr &ptr : _remotePtrs[static_cast<std::size_t>(d)]) {
+            if (ptr == invalidRemotePtr)
+                continue;
             rt.freeRemote(ptr);
+            ptr = invalidRemotePtr;
+        }
         if (d < static_cast<int>(_localPlacements.size()))
             _system.addressSpace(sysDev(d)).free(
                 _localPlacements[static_cast<std::size_t>(d)]);
     }
-    _remotePtrs.clear();
     _localPlacements.clear();
-    _pagers.clear();
     _allocated = false;
 }
 
@@ -563,7 +590,13 @@ TrainingSession::allocateBuffers()
     _allocated = true;
 
     const int n = deviceCount();
-    _remotePtrs.assign(static_cast<std::size_t>(n), {});
+    const auto waves = static_cast<std::size_t>(_strategy.microbatches());
+    // Pointer tables are built once and refilled in place: the pagers'
+    // fault handlers hold references to them.
+    if (_remotePtrs.empty())
+        _remotePtrs.assign(static_cast<std::size_t>(n),
+                           std::vector<RemotePtr>(_net.size() * waves,
+                                                  invalidRemotePtr));
     _localPlacements.clear();
 
     if (_strategy.isPipeline()) {
@@ -596,13 +629,14 @@ TrainingSession::allocateBuffers()
                     _net.layer(layer));
                 for (int m = 0; m < M; ++m) {
                     _remotePtrs[static_cast<std::size_t>(d)]
-                               [groupId(layer, m)] =
+                               [static_cast<std::size_t>(
+                                   groupId(layer, m))] =
                         _system.runtime(sysDev(d)).mallocRemote(
                             static_cast<std::uint64_t>(bytes) + 1);
                 }
             }
         }
-        createPagers();
+        armPagers();
         return;
     }
 
@@ -632,35 +666,27 @@ TrainingSession::allocateBuffers()
                 continue;
             const double bytes =
                 _strategy.offloadBytesPerDevice(_net.layer(id));
-            _remotePtrs[static_cast<std::size_t>(d)][id] =
+            _remotePtrs[static_cast<std::size_t>(d)]
+                       [static_cast<std::size_t>(id)] =
                 _system.runtime(sysDev(d)).mallocRemote(
                     static_cast<std::uint64_t>(bytes) + 1);
         }
     }
 
-    createPagers();
+    armPagers();
 }
 
 void
-TrainingSession::createPagers()
+TrainingSession::armPagers()
 {
     const int n = deviceCount();
     const SystemConfig &cfg = _system.config();
-    const auto layer_count = static_cast<std::size_t>(_net.size());
     const bool pipeline = _strategy.isPipeline();
-    const auto waves = pipeline
-        ? static_cast<std::size_t>(_strategy.microbatches())
-        : std::size_t{1};
-    const std::size_t group_count = layer_count * waves;
+    const auto waves = static_cast<std::size_t>(_strategy.microbatches());
+    const std::size_t group_count = _net.size() * waves;
 
-    std::vector<double> wire_bytes(group_count, 0.0);
-    std::vector<std::uint64_t> frame_bytes(group_count, 0);
-    std::vector<LayerId> group_layer;
-    if (pipeline) {
-        group_layer.resize(group_count);
-        for (std::size_t g = 0; g < group_count; ++g)
-            group_layer[g] = static_cast<LayerId>(g / waves);
-    }
+    _groupWireBytes.assign(group_count, 0.0);
+    _groupFrameBytes.assign(group_count, 0);
     for (LayerId id = 0; id < static_cast<LayerId>(_net.size()); ++id) {
         if (_plan.entry(id).action != TensorAction::Offload)
             continue;
@@ -668,45 +694,52 @@ TrainingSession::createPagers()
             _strategy.offloadBytesPerDevice(_net.layer(id));
         for (std::size_t m = 0; m < waves; ++m) {
             const auto g = static_cast<std::size_t>(id) * waves + m;
-            wire_bytes[g] = bytes / cfg.dmaCompressionRatio;
-            frame_bytes[g] = static_cast<std::uint64_t>(bytes) + 1;
+            _groupWireBytes[g] = bytes / cfg.dmaCompressionRatio;
+            _groupFrameBytes[g] = static_cast<std::uint64_t>(bytes) + 1;
         }
     }
 
-    _pagers.clear();
+    if (_pagers.empty()) {
+        for (int d = 0; d < n; ++d) {
+            DevicePager::Wiring wiring;
+            wiring.runtime = &_system.runtime(sysDev(d));
+            wiring.remotePtrs = &_remotePtrs[static_cast<std::size_t>(d)];
+            wiring.net = &_net;
+            wiring.schedule = pipeline
+                ? &_stageSchedules[static_cast<std::size_t>(d)]
+                : &_pagingSchedule;
+            if (pipeline) {
+                wiring.groupLayer.resize(group_count);
+                for (std::size_t g = 0; g < group_count; ++g)
+                    wiring.groupLayer[g] = static_cast<LayerId>(g / waves);
+            }
+            wiring.config = cfg.paging;
+            // SPMD modes track device 0's DMA (every device is the
+            // same); pipeline unions all stages so vmemSec reflects the
+            // machine.
+            wiring.tracker =
+                (pipeline || d == 0) ? &_vmemTracker : nullptr;
+            _pagers.push_back(std::make_unique<DevicePager>(
+                "dev" + std::to_string(sysDev(d)) + ".pager",
+                std::move(wiring)));
+        }
+    }
+
     for (int d = 0; d < n; ++d) {
-        DevicePager::Wiring wiring;
-        wiring.runtime = &_system.runtime(sysDev(d));
-        wiring.remotePtrs = &_remotePtrs[static_cast<std::size_t>(d)];
-        wiring.net = &_net;
-        wiring.schedule = pipeline
-            ? &_stageSchedules[static_cast<std::size_t>(d)]
-            : &_pagingSchedule;
-        wiring.wireBytes = wire_bytes;
-        wiring.frameBytes = frame_bytes;
-        wiring.groupLayer = group_layer;
         // HBM left after weights, keep-local stash, and working
         // buffers is the stash frame budget.
         const DeviceAddressSpace &space =
             _system.addressSpace(sysDev(d));
-        wiring.frameCapacity =
-            space.localCapacity() - space.localUsed();
-        wiring.config = cfg.paging;
-        // SPMD modes track device 0's DMA (every device is the same);
-        // pipeline unions all stages so vmemSec reflects the machine.
-        wiring.tracker =
-            (pipeline || d == 0) ? &_vmemTracker : nullptr;
-        _pagers.push_back(std::make_unique<DevicePager>(
-            "dev" + std::to_string(sysDev(d)) + ".pager",
-            std::move(wiring)));
+        _pagers[static_cast<std::size_t>(d)]->rearm(
+            space.localCapacity() - space.localUsed(), _groupWireBytes,
+            _groupFrameBytes);
     }
 }
 
 DevicePager &
 TrainingSession::pager(int dev)
 {
-    if (_pagers.empty())
-        allocateBuffers();
+    allocateBuffers();
     return *_pagers.at(static_cast<std::size_t>(dev));
 }
 
@@ -720,6 +753,8 @@ TrainingSession::dumpPagingStats(std::ostream &os) const
 std::uint64_t
 TrainingSession::hbmResidentBytes() const
 {
+    if (!_allocated)
+        return 0;
     std::uint64_t total = 0;
     for (const auto &pager : _pagers)
         total += pager->pageTable().usedBytes();
@@ -792,9 +827,11 @@ TrainingSession::tryIssue(int dev)
         _stallVmem[udev] += now - ctx.readyAt;
     ctx.waitedCat = 0;
     _system.device(sysDev(dev)).occupyCompute(now, op.duration);
-    CausalScope causal_scope(
-        _system.eventQueue().causalRecorder(), WaitKind::Compute,
-        "dev" + std::to_string(sysDev(dev)));
+    CausalRecorder *causal = _system.eventQueue().causalRecorder();
+    CausalScope causal_scope(causal, WaitKind::Compute,
+                             causal != nullptr
+                                 ? "dev" + std::to_string(sysDev(dev))
+                                 : std::string());
     _system.eventQueue().scheduleAfter(
         op.duration, [this, dev] { completeOp(dev); },
         "op_complete");
@@ -1099,7 +1136,7 @@ TrainingSession::setupIteration()
     }
 }
 
-IterationResult
+const IterationResult &
 TrainingSession::collectResult()
 {
     EventQueue &eq = _system.eventQueue();
@@ -1110,7 +1147,13 @@ TrainingSession::collectResult()
     const int report = reportDevice();
     const auto ureport = static_cast<std::size_t>(report);
 
-    IterationResult result;
+    // Start from a fresh result, but keep the channel rows: their
+    // names are filled once (the fabric's channels never change).
+    std::vector<ChannelUsage> channel_rows = std::move(_result.channels);
+    _result = IterationResult{};
+    _result.channels = std::move(channel_rows);
+    IterationResult &result = _result;
+
     result.makespan = eq.now() - _startTick;
     result.breakdown.computeSec =
         ticksToSeconds(_computeTicks[ureport]);
@@ -1141,12 +1184,15 @@ TrainingSession::collectResult()
     // Per-channel deltas: where the iteration's traffic actually
     // queued, so sweeps can name the bottleneck link rather than just
     // the bottleneck pipeline stage.
-    const std::vector<Channel *> channels = _system.fabric().channels();
+    const std::vector<Channel *> &channels = _system.fabric().channels();
+    if (result.channels.size() != channels.size()) {
+        result.channels.resize(channels.size());
+        for (std::size_t c = 0; c < channels.size(); ++c)
+            result.channels[c].channel = channels[c]->name();
+    }
     const double span = ticksToSeconds(result.makespan);
-    result.channels.reserve(channels.size());
     for (std::size_t c = 0; c < channels.size(); ++c) {
-        ChannelUsage usage;
-        usage.channel = channels[c]->name();
+        ChannelUsage &usage = result.channels[c];
         usage.bytes = channels[c]->bytesTransferred()
             - (c < _chanBytesBefore.size() ? _chanBytesBefore[c] : 0.0);
         usage.busySec = ticksToSeconds(
@@ -1154,7 +1200,6 @@ TrainingSession::collectResult()
             - (c < _chanBusyBefore.size() ? _chanBusyBefore[c] : 0));
         usage.utilization = span > 0.0 ? usage.busySec / span : 0.0;
         usage.peakQueueDepth = channels[c]->peakQueueDepth();
-        result.channels.push_back(std::move(usage));
     }
     return result;
 }

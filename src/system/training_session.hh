@@ -193,6 +193,21 @@ class TrainingSession
     IterationResult run();
 
     /**
+     * Re-target a forward-only session at a new batch of
+     * @p global_batch samples — the serving path, where one replica
+     * session serves every batch. Recomputes in place what depends on
+     * the batch: the strategy's global batch, the per-layer timings,
+     * the op durations and sync sizes. The footprint, offload sizes and
+     * pager frame budget follow at the next allocateBuffers(). The op
+     * program, paging schedule and offload plan do not depend on the
+     * batch and are kept. Call between releaseBuffers() and the next
+     * iteration; the session then behaves exactly as one freshly built
+     * for @p global_batch (history-policy pagers forget what they
+     * learned, as a fresh pager never learned it).
+     */
+    void rearm(std::int64_t global_batch);
+
+    /**
      * Begin one iteration without draining the event queue — the
      * cluster path, where many sessions share one EventQueue. Only the
      * owned devices' statistics are reset (the fabric is shared);
@@ -204,8 +219,9 @@ class TrainingSession
 
     /**
      * Free everything allocateBuffers() claimed — devicelocal
-     * footprints, remote stash buffers, and the pagers — so another
-     * session can reuse the devices. Idempotent.
+     * footprints and remote stash buffers — so another session (or
+     * this one, rearmed) can reuse the devices. The pagers are kept
+     * and re-sized by the next allocateBuffers(). Idempotent.
      */
     void releaseBuffers();
 
@@ -276,10 +292,14 @@ class TrainingSession
         int waitedCat = 0;
     };
 
+    /// Per-layer timings at the strategy's current batch.
+    void computeTimings();
     void buildSchedule();
     void buildPipelineSchedule();
     void allocateBuffers();
-    void createPagers();
+    /// Size the pagers for the current batch (building them on the
+    /// first allocation).
+    void armPagers();
 
     /// System device index of local device @p dev.
     int
@@ -292,8 +312,9 @@ class TrainingSession
     /// (the shared tail of run() and startIteration()).
     void setupIteration();
 
-    /// Assemble the metrics of the iteration that just drained.
-    IterationResult collectResult();
+    /// Assemble the metrics of the iteration that just drained (into
+    /// _result, which the returned reference names).
+    const IterationResult &collectResult();
 
     /// One owned device drained its program; fires the async callback
     /// on the last one.
@@ -359,12 +380,19 @@ class TrainingSession
     /// Devicelocal footprint allocations, one per owned device, so
     /// releaseBuffers() can return them.
     std::vector<Placement> _localPlacements;
-    /// Remote allocations per device, by layer (dp/mp) or page-group
-    /// id (pipeline).
-    std::vector<std::map<LayerId, RemotePtr>> _remotePtrs;
+    /// Remote allocations per device, indexed by layer (dp/mp) or
+    /// page-group id (pipeline); invalidRemotePtr where nothing is
+    /// paged or the buffers are released.
+    std::vector<std::vector<RemotePtr>> _remotePtrs;
     /// Paged device-memory managers, one per device (persistent across
-    /// iterations so history-based policies can learn).
+    /// iterations so history-based policies can learn; re-sized, and so
+    /// made to forget, when buffers are allocated again after
+    /// releaseBuffers()).
     std::vector<std::unique_ptr<DevicePager>> _pagers;
+    /// Per-page-group wire and frame bytes at the current batch
+    /// (armPagers() scratch, kept to reuse the storage).
+    std::vector<double> _groupWireBytes;
+    std::vector<std::uint64_t> _groupFrameBytes;
     /// Pipeline p2p routes, keyed src * numDevices + dst.
     std::map<int, Route> _p2pRoutes;
     int _p2pTokenCount = 0;
@@ -417,6 +445,9 @@ class TrainingSession
     /// Async-iteration completion callback (cluster mode; empty under
     /// the classic run()).
     std::function<void(const IterationResult &)> _onIterationDone;
+    /// The last iteration's metrics; its channel rows (and their names)
+    /// are reused from one iteration to the next.
+    IterationResult _result;
 };
 
 } // namespace mcdla

@@ -60,14 +60,16 @@ DmaEngine::DmaEngine(EventQueue &eq, std::string name,
                      const std::vector<VmemPath> &paths,
                      double chunk_bytes)
     : SimObject(eq, std::move(name)), _paths(paths),
-      _chunkBytes(chunk_bytes)
+      _chunkBytes(chunk_bytes),
+      _statOffloaded(stats().scalar("bytes_offloaded",
+                                    "devicelocal -> backing store")),
+      _statPrefetched(stats().scalar("bytes_prefetched",
+                                     "backing store -> devicelocal")),
+      _statTransfers(stats().scalar("transfers", "DMA operations issued"))
 {
     if (_chunkBytes <= 0.0)
         fatal("dma engine '%s': chunk size must be positive",
               this->name().c_str());
-    stats().scalar("bytes_offloaded", "devicelocal -> backing store");
-    stats().scalar("bytes_prefetched", "backing store -> devicelocal");
-    stats().scalar("transfers", "DMA operations issued");
 }
 
 void
@@ -92,13 +94,13 @@ DmaEngine::transfer(double bytes, DmaDirection direction,
         panic("dma engine '%s': %zu fractions for %zu paths",
               name().c_str(), fractions.size(), _paths.size());
 
-    ++stats().scalar("transfers");
+    ++_statTransfers;
     if (direction == DmaDirection::LocalToRemote) {
         _bytesOffloaded += bytes;
-        stats().scalar("bytes_offloaded") += bytes;
+        _statOffloaded += bytes;
     } else {
         _bytesPrefetched += bytes;
-        stats().scalar("bytes_prefetched") += bytes;
+        _statPrefetched += bytes;
     }
 
     // Count the active shares first so the completion join is exact.

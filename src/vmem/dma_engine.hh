@@ -80,6 +80,10 @@ class DmaEngine : public SimObject
     double _chunkBytes;
     double _bytesOffloaded = 0.0;
     double _bytesPrefetched = 0.0;
+    /** Resolved once: transfer() runs on every DMA. */
+    Scalar &_statOffloaded;
+    Scalar &_statPrefetched;
+    Scalar &_statTransfers;
 };
 
 } // namespace mcdla

@@ -14,8 +14,7 @@ namespace mcdla
 {
 
 FaultHandler::FaultHandler(
-    VmemRuntime &runtime,
-    const std::map<LayerId, RemotePtr> &remote_ptrs,
+    VmemRuntime &runtime, const std::vector<RemotePtr> &remote_ptrs,
     const std::vector<double> &wire_bytes,
     const std::vector<LayerId> &group_layer, const Network &net,
     ActivityTracker *tracker)
@@ -46,10 +45,9 @@ FaultHandler::beginIteration(TraceSink *trace,
         // Static-plan fills chain on writebacks that may not have been
         // issued yet, so every offloaded layer's latch is armed up
         // front.
-        for (const auto &[layer, ptr] : _remotePtrs) {
-            (void)ptr;
-            _writebackArmed.at(static_cast<std::size_t>(layer)) = 1;
-        }
+        for (std::size_t g = 0; g < _remotePtrs.size(); ++g)
+            if (_remotePtrs[g] != invalidRemotePtr)
+                _writebackArmed.at(g) = 1;
     }
 }
 
@@ -70,7 +68,8 @@ FaultHandler::transfer(LayerId layer, DmaDirection direction,
         _tracker->begin(issued);
     ++_outstanding;
     _runtime.memcpyAsync(
-        _remotePtrs.at(layer), bytes, direction,
+        _remotePtrs.at(static_cast<std::size_t>(layer)), bytes,
+        direction,
         [this, tracked, issued, layer, label, direction,
          on_drain = std::move(on_drain)] {
             const Tick now = _runtime.dma().now();

@@ -48,7 +48,8 @@ class FaultHandler
 
     /**
      * @param runtime The device's Table I runtime.
-     * @param remote_ptrs Backing-store allocation per page group.
+     * @param remote_ptrs Backing-store allocation per page group,
+     *        indexed by group id (invalidRemotePtr: not paged).
      * @param wire_bytes Post-compression transfer size per page group.
      * @param group_layer Group id -> producing layer (empty = groups
      *                    are layer ids); trace-label decode only.
@@ -57,7 +58,7 @@ class FaultHandler
      *                nullptr elsewhere).
      */
     FaultHandler(VmemRuntime &runtime,
-                 const std::map<LayerId, RemotePtr> &remote_ptrs,
+                 const std::vector<RemotePtr> &remote_ptrs,
                  const std::vector<double> &wire_bytes,
                  const std::vector<LayerId> &group_layer,
                  const Network &net, ActivityTracker *tracker);
@@ -146,7 +147,7 @@ class FaultHandler
                   const char *label, Handler on_drain);
 
     VmemRuntime &_runtime;
-    const std::map<LayerId, RemotePtr> &_remotePtrs;
+    const std::vector<RemotePtr> &_remotePtrs;
     const std::vector<double> &_wireBytes;
     const std::vector<LayerId> &_groupLayer;
     const Network &_net;

@@ -262,4 +262,14 @@ PageTable::resetIteration()
     _filling = 0;
 }
 
+void
+PageTable::rearm(std::uint64_t capacity,
+                 const std::vector<std::uint64_t> &frame_bytes)
+{
+    _capacity = capacity;
+    for (auto &[layer, e] : _entries)
+        e.bytes = frame_bytes.at(static_cast<std::size_t>(layer));
+    resetIteration();
+}
+
 } // namespace mcdla

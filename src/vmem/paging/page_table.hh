@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "dnn/layer.hh"
 #include "sim/units.hh"
@@ -124,6 +125,14 @@ class PageTable
 
     /** Reset every entry to Invalid for a new iteration. */
     void resetIteration();
+
+    /**
+     * Re-size the table for a new batch: a new frame budget and new
+     * group sizes (@p frame_bytes, indexed by group id), every entry
+     * reset as by resetIteration(). The registered groups are kept.
+     */
+    void rearm(std::uint64_t capacity,
+               const std::vector<std::uint64_t> &frame_bytes);
 
     /**
      * SimCheck: frame accounting. Recomputes residency from the

@@ -29,44 +29,60 @@ accountKey(std::size_t op, LayerId layer)
 DevicePager::DevicePager(std::string name, Wiring wiring)
     : _name(std::move(name)), _runtime(wiring.runtime),
       _schedule(wiring.schedule),
-      _wireBytes(std::move(wiring.wireBytes)),
+      _wireBytes(wiring.remotePtrs->size(), 0.0),
       _groupLayer(std::move(wiring.groupLayer)), _cfg(wiring.config),
-      _table(wiring.frameCapacity,
-             wiring.config.prefetch != PrefetchPolicyKind::StaticPlan),
+      _table(0, wiring.config.prefetch != PrefetchPolicyKind::StaticPlan),
       _fault(*wiring.runtime, *wiring.remotePtrs, _wireBytes,
              _groupLayer, *wiring.net, wiring.tracker),
       _policy(makePrefetchPolicy(wiring.config.prefetch)),
       _evict(makeEvictionPolicy(wiring.config.eviction)),
-      _stats(_name + ".")
+      _stats(_name + "."),
+      _demandHits(_stats.scalar("demand_hits",
+                                "stash reads that found pages ready")),
+      _demandMisses(_stats.scalar("demand_misses",
+                                  "stash reads that stalled compute")),
+      _fills(_stats.scalar("fills", "page fill DMAs requested")),
+      _demandFills(_stats.scalar("demand_fills",
+                                 "fills requested by a page fault")),
+      _writebacks(_stats.scalar("writebacks",
+                                "page writeback DMAs issued")),
+      _cleanDrops(_stats.scalar("clean_drops",
+                                "evictions with a valid backing copy")),
+      _earlyEvictions(_stats.scalar(
+          "early_evictions",
+          "evictions before the group's last forward use")),
+      _stallTicks(_stats.scalar("stall_ticks",
+                                "compute stall ticks blamed on paging")),
+      _bytesFilled(_stats.scalar("bytes_filled",
+                                 "wire bytes filled into HBM")),
+      _bytesWrittenBack(_stats.scalar("bytes_written_back",
+                                      "wire bytes written back"))
 {
-    // Register one page group per offloaded layer; its last forward
-    // use is the op the static plan writes it back after.
+    // "dev<N>.pager" -> DMA track "dev<N>.dma" on the vmem process.
+    _dmaTrack = _name;
+    if (const auto pos = _dmaTrack.rfind(".pager");
+        pos != std::string::npos)
+        _dmaTrack.resize(pos);
+    _dmaTrack += ".dma";
+
+    // Register one page group per offloaded layer (sized by rearm());
+    // its last forward use is the op the static plan writes it back
+    // after.
     std::map<LayerId, std::size_t> last_forward_use;
     for (std::size_t op = 0; op < _schedule->size(); ++op)
         for (LayerId layer : (*_schedule)[op].planWritebacks)
             last_forward_use[layer] = op;
-    for (const auto &[layer, ptr] : *wiring.remotePtrs) {
-        (void)ptr;
+    const std::vector<RemotePtr> &remote_ptrs = *wiring.remotePtrs;
+    for (std::size_t g = 0; g < remote_ptrs.size(); ++g) {
+        if (remote_ptrs[g] == invalidRemotePtr)
+            continue;
+        const auto layer = static_cast<LayerId>(g);
         auto it = last_forward_use.find(layer);
         if (it == last_forward_use.end())
             panic("offloaded layer %d has no plan writeback op", layer);
-        _table.addEntry(
-            layer,
-            wiring.frameBytes.at(static_cast<std::size_t>(layer)),
-            it->second);
+        _table.addEntry(layer, 0, it->second);
     }
 
-    _stats.scalar("demand_hits", "stash reads that found pages ready");
-    _stats.scalar("demand_misses", "stash reads that stalled compute");
-    _stats.scalar("fills", "page fill DMAs requested");
-    _stats.scalar("demand_fills", "fills requested by a page fault");
-    _stats.scalar("writebacks", "page writeback DMAs issued");
-    _stats.scalar("clean_drops", "evictions with a valid backing copy");
-    _stats.scalar("early_evictions",
-                  "evictions before the group's last forward use");
-    _stats.scalar("stall_ticks", "compute stall ticks blamed on paging");
-    _stats.scalar("bytes_filled", "wire bytes filled into HBM");
-    _stats.scalar("bytes_written_back", "wire bytes written back");
     _stats.formula(
         "hit_rate", [this] { return counters().hitRate(); },
         "fraction of stash reads that never stalled");
@@ -76,6 +92,22 @@ DevicePager::DevicePager(std::string name, Wiring wiring)
             return static_cast<double>(_table.peakUsedBytes());
         },
         "peak stash HBM occupancy");
+}
+
+void
+DevicePager::rearm(std::uint64_t frame_capacity,
+                   const std::vector<double> &wire_bytes,
+                   const std::vector<std::uint64_t> &frame_bytes)
+{
+    if (!_fault.dmaIdle())
+        panic("%s: rearmed with DMA in flight", _name.c_str());
+    if (wire_bytes.size() != _wireBytes.size())
+        panic("%s: rearmed with %zu page groups, built with %zu",
+              _name.c_str(), wire_bytes.size(), _wireBytes.size());
+    // Element-wise: the fault handler holds a reference to the vector.
+    std::copy(wire_bytes.begin(), wire_bytes.end(), _wireBytes.begin());
+    _table.rearm(frame_capacity, frame_bytes);
+    _policy->forget();
 }
 
 Tick
@@ -89,13 +121,7 @@ DevicePager::beginIteration(TraceSink *trace)
 {
     _stats.reset();
     _table.resetIteration();
-    // "dev<N>.pager" → DMA track "dev<N>.dma" on the vmem process.
-    std::string track = _name;
-    if (const auto pos = track.rfind(".pager");
-        pos != std::string::npos)
-        track.resize(pos);
-    _fault.beginIteration(trace, !_policy->demandPaged(),
-                          track + ".dma");
+    _fault.beginIteration(trace, !_policy->demandPaged(), _dmaTrack);
     _frontier = 0;
     _accounted.clear();
     _pendingFills.clear();
@@ -181,9 +207,9 @@ DevicePager::demand(std::size_t op)
 
         if (_accounted.insert(accountKey(op, layer)).second) {
             if (gate != nullptr)
-                ++_stats.scalar("demand_misses");
+                ++_demandMisses;
             else
-                ++_stats.scalar("demand_hits");
+                ++_demandHits;
             _policy->accessed(*this, layer);
         }
         if (gate != nullptr)
@@ -195,17 +221,17 @@ DevicePager::demand(std::size_t op)
 void
 DevicePager::noteStall(Tick ticks)
 {
-    _stats.scalar("stall_ticks") += static_cast<double>(ticks);
+    _stallTicks += static_cast<double>(ticks);
 }
 
 void
 DevicePager::planWriteback(LayerId layer)
 {
     _table.beginEvict(layer);
-    ++_stats.scalar("writebacks");
+    ++_writebacks;
     _fault.writeback(layer, [this, layer] {
         _table.finishEvict(layer);
-        _stats.scalar("bytes_written_back") +=
+        _bytesWrittenBack +=
             _wireBytes.at(static_cast<std::size_t>(layer));
     });
 }
@@ -219,13 +245,13 @@ DevicePager::requestFill(LayerId layer, bool demand)
             [this, layer] { _table.beginFill(layer); },
             [this, layer] {
                 _table.finishFill(layer, now());
-                _stats.scalar("bytes_filled") +=
+                _bytesFilled +=
                     _wireBytes.at(static_cast<std::size_t>(layer));
             });
         if (issued) {
-            ++_stats.scalar("fills");
+            ++_fills;
             if (demand)
-                ++_stats.scalar("demand_fills");
+                ++_demandFills;
         }
         return;
     }
@@ -238,7 +264,7 @@ DevicePager::requestFill(LayerId layer, bool demand)
             for (auto &pending : _pendingFills) {
                 if (pending.first == layer && !pending.second) {
                     pending.second = true;
-                    ++_stats.scalar("demand_fills");
+                    ++_demandFills;
                     break;
                 }
             }
@@ -270,9 +296,9 @@ DevicePager::requestFill(LayerId layer, bool demand)
               static_cast<unsigned long long>(_table.capacity()));
 
     _demandFillLatch.emplace(layer, std::make_shared<Latch>());
-    ++_stats.scalar("fills");
+    ++_fills;
     if (demand)
-        ++_stats.scalar("demand_fills");
+        ++_demandFills;
     _pendingFills.emplace_back(layer, demand);
     pumpFills();
 }
@@ -282,13 +308,13 @@ DevicePager::evictOne(LayerId victim)
 {
     PageEntry &entry = _table.entry(victim);
     if (entry.lastForwardUseOp >= _frontier)
-        ++_stats.scalar("early_evictions");
+        ++_earlyEvictions;
     if (entry.dirty) {
         _table.beginEvict(victim);
-        ++_stats.scalar("writebacks");
+        ++_writebacks;
         _fault.issueWritebackDma(victim, [this, victim] {
             _table.finishEvict(victim);
-            _stats.scalar("bytes_written_back") +=
+            _bytesWrittenBack +=
                 _wireBytes.at(static_cast<std::size_t>(victim));
             pumpFills();
         });
@@ -296,7 +322,7 @@ DevicePager::evictOne(LayerId victim)
         // The backing store still holds a valid copy (stashes are
         // immutable): the frames free instantly.
         _table.discard(victim);
-        ++_stats.scalar("clean_drops");
+        ++_cleanDrops;
     }
 }
 
@@ -332,7 +358,7 @@ DevicePager::pumpFills()
             _table.beginFill(layer);
             _fault.issueFillDma(layer, demand, [this, layer] {
                 _table.finishFill(layer, now());
-                _stats.scalar("bytes_filled") +=
+                _bytesFilled +=
                     _wireBytes.at(static_cast<std::size_t>(layer));
                 auto latch_it = _demandFillLatch.find(layer);
                 if (latch_it == _demandFillLatch.end())
@@ -394,21 +420,20 @@ DevicePager::releaseRead(LayerId layer)
 PagingCounters
 DevicePager::counters() const
 {
-    PagingCounters c;
-    auto count = [this](const char *name) {
-        return static_cast<std::uint64_t>(_stats.value(name));
+    auto count = [](const Scalar &stat) {
+        return static_cast<std::uint64_t>(stat.value());
     };
-    c.demandHits = count("demand_hits");
-    c.demandMisses = count("demand_misses");
-    c.fills = count("fills");
-    c.demandFills = count("demand_fills");
-    c.writebacks = count("writebacks");
-    c.cleanDrops = count("clean_drops");
-    c.earlyEvictions = count("early_evictions");
-    c.stallSec = ticksToSeconds(
-        static_cast<Tick>(_stats.value("stall_ticks")));
-    c.bytesFilled = _stats.value("bytes_filled");
-    c.bytesWrittenBack = _stats.value("bytes_written_back");
+    PagingCounters c;
+    c.demandHits = count(_demandHits);
+    c.demandMisses = count(_demandMisses);
+    c.fills = count(_fills);
+    c.demandFills = count(_demandFills);
+    c.writebacks = count(_writebacks);
+    c.cleanDrops = count(_cleanDrops);
+    c.earlyEvictions = count(_earlyEvictions);
+    c.stallSec = ticksToSeconds(static_cast<Tick>(_stallTicks.value()));
+    c.bytesFilled = _bytesFilled.value();
+    c.bytesWrittenBack = _bytesWrittenBack.value();
     c.peakResidentBytes = _table.peakUsedBytes();
     return c;
 }

@@ -67,32 +67,48 @@ struct PagingCounters
 class DevicePager
 {
   public:
-    /** Wiring from the owning TrainingSession. */
+    /**
+     * Wiring from the owning TrainingSession: what the pager keeps for
+     * its whole life. The batch-dependent sizes come from rearm().
+     */
     struct Wiring
     {
         VmemRuntime *runtime = nullptr;
-        /** Backing-store allocation per offloaded layer. */
-        const std::map<LayerId, RemotePtr> *remotePtrs = nullptr;
+        /**
+         * Backing-store allocation per page group, indexed by group id
+         * (invalidRemotePtr: not paged). The groups holding a pointer
+         * at construction are the pager's page groups for its life.
+         */
+        const std::vector<RemotePtr> *remotePtrs = nullptr;
         const Network *net = nullptr;
         const PagingSchedule *schedule = nullptr;
-        /** Post-compression transfer bytes, indexed by page group. */
-        std::vector<double> wireBytes;
-        /** HBM frame bytes (uncompressed), indexed by page group. */
-        std::vector<std::uint64_t> frameBytes;
         /**
          * Page-group id -> producing layer, for trace labels. Empty
          * means groups are layer ids (dp/mp); pipeline sessions key
          * groups by (layer, microbatch) and supply the decode here.
          */
         std::vector<LayerId> groupLayer;
-        /** HBM left for stash frames after weights/working buffers. */
-        std::uint64_t frameCapacity = 0;
         PagingConfig config;
         /** Figure 11 vmem tracker (device 0 only; nullptr elsewhere). */
         ActivityTracker *tracker = nullptr;
     };
 
+    /** An unsized pager: call rearm() before its first iteration. */
     DevicePager(std::string name, Wiring wiring);
+
+    /**
+     * Size the pager for the coming batch, in place: the HBM frame
+     * budget left after weights and working buffers, and per page
+     * group (indexed by group id) the post-compression transfer bytes
+     * and the uncompressed HBM frame bytes. The page table empties and
+     * the prefetch policy forgets what it learned, so the pager acts
+     * as one freshly built for this batch. The page groups, schedule
+     * and backing-store pointer table are kept. Only valid while no
+     * DMA is in flight.
+     */
+    void rearm(std::uint64_t frame_capacity,
+               const std::vector<double> &wire_bytes,
+               const std::vector<std::uint64_t> &frame_bytes);
 
     /** Reset per-iteration state; @p trace is the current sink. */
     void beginIteration(TraceSink *trace);
@@ -159,6 +175,8 @@ class DevicePager
     void releaseRead(LayerId layer);
 
     std::string _name;
+    /** DMA span track on the "vmem" process ("dev<N>.dma"). */
+    std::string _dmaTrack;
     VmemRuntime *_runtime;
     const PagingSchedule *_schedule;
     std::vector<double> _wireBytes;
@@ -169,6 +187,19 @@ class DevicePager
     std::unique_ptr<PrefetchPolicy> _policy;
     std::unique_ptr<EvictionPolicy> _evict;
     StatSet _stats;
+    /// @name Counters, resolved once (the hot paths bump them per op)
+    /// @{
+    Scalar &_demandHits;
+    Scalar &_demandMisses;
+    Scalar &_fills;
+    Scalar &_demandFills;
+    Scalar &_writebacks;
+    Scalar &_cleanDrops;
+    Scalar &_earlyEvictions;
+    Scalar &_stallTicks;
+    Scalar &_bytesFilled;
+    Scalar &_bytesWrittenBack;
+    /// @}
 
     std::size_t _frontier = 0;
     /** (op << 32 | layer) pairs whose hit/miss was already counted. */

@@ -37,6 +37,14 @@ StaticPlanPrefetcher::frontierAdvanced(DevicePager &pager,
 // ----------------------------------------------------------- history
 
 void
+HistoryPrefetcher::forget()
+{
+    _recording = true;
+    _history.clear();
+    _cursor = 0;
+}
+
+void
 HistoryPrefetcher::beginIteration(DevicePager &pager)
 {
     (void)pager;

@@ -48,6 +48,12 @@ class PrefetchPolicy
      */
     virtual bool demandPaged() const { return true; }
 
+    /**
+     * Drop anything learned from earlier iterations: the policy acts
+     * as if freshly built (a pager rearmed for a new batch calls it).
+     */
+    virtual void forget() {}
+
     /** A new iteration is starting on @p pager's device. */
     virtual void beginIteration(DevicePager &pager) { (void)pager; }
 
@@ -104,6 +110,7 @@ class HistoryPrefetcher : public PrefetchPolicy
     {
         return PrefetchPolicyKind::History;
     }
+    void forget() override;
     void beginIteration(DevicePager &pager) override;
     void accessed(DevicePager &pager, LayerId layer) override;
 

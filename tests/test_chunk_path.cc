@@ -6,7 +6,9 @@
  * (for this binary only) to pin the allocation behaviour of the
  * collective -> flow -> channel path: a warm ring all-reduce costs a
  * fixed number of allocations per operation, whatever its chunk count.
- * It also pins the channel's in-flight hand-off when a zero-latency
+ * It also pins a warm serving replica batch (a rearmed forward-only
+ * session) at a fixed allocation count, whatever the network's layer
+ * count, and the channel's in-flight hand-off when a zero-latency
  * delivery handler re-submits to the same channel.
  */
 
@@ -21,9 +23,11 @@
 #include <vector>
 
 #include "collective/ring_collective.hh"
+#include "core/simulator.hh"
 #include "interconnect/channel.hh"
 #include "sim/simcheck.hh"
 #include "system/system.hh"
+#include "system/training_session.hh"
 
 namespace
 {
@@ -148,6 +152,61 @@ TEST(ChunkPath, WarmRingAllReduceAllocationsIndependentOfChunkCount)
     // chunks (4 per block, one block per stage, on every ring).
     EXPECT_LT(small, 4 * static_cast<std::uint64_t>(stages)
                          * engine.ringCount());
+}
+
+TEST(ChunkPath, WarmReplicaBatchAllocationsIndependentOfLayerCount)
+{
+    // A serving replica's forward-only session, rearmed per batch the
+    // way ServingCluster drives it. On the oracle design nothing pages
+    // (each DMA still allocates its completion closures), so the count
+    // is the session's own per-batch cost: it must not grow with the
+    // network's layer count.
+    SystemConfig cfg;
+    cfg.design = SystemDesign::DcDlaOracle;
+    Simulator networks;
+
+    auto warm_batch_allocations = [&](const std::string &workload) {
+        EventQueue eq;
+        System sys(eq, cfg);
+        const auto net = networks.network(workload);
+        TrainingSession replica(sys, *net, ParallelMode::DataParallel, 8,
+                                /*pipeline_stages=*/0,
+                                /*microbatches=*/1, std::vector<int>{0},
+                                /*forward_only=*/true);
+        auto batch = [&](std::int64_t samples) {
+            const std::uint64_t before = g_allocations.load();
+            bool done = false;
+            replica.rearm(samples);
+            replica.startIteration(
+                [&done](const IterationResult &) { done = true; });
+            eq.run();
+            replica.releaseBuffers();
+            EXPECT_TRUE(done);
+            return g_allocations.load() - before;
+        };
+        // Warm over both extremes: the event-slot pool, the calendar
+        // buckets and the session's per-iteration vectors reach their
+        // high-water marks.
+        for (int i = 0; i < 4; ++i)
+            (void)batch(i % 2 == 0 ? 8 : 1);
+        const std::uint64_t small = batch(2);
+        const std::uint64_t large = batch(8);
+        EXPECT_EQ(small, large)
+            << workload << ": allocations grew with the batch";
+        return large;
+    };
+
+    const auto layers = [&](const std::string &workload) {
+        return networks.network(workload)->size();
+    };
+    ASSERT_GT(layers("ResNet"), 4 * layers("AlexNet"));
+    const std::uint64_t alexnet = warm_batch_allocations("AlexNet");
+    const std::uint64_t resnet = warm_batch_allocations("ResNet");
+    EXPECT_EQ(alexnet, resnet)
+        << "a replica batch allocated " << alexnet << " times on "
+        << layers("AlexNet") << " layers and " << resnet << " on "
+        << layers("ResNet");
+    EXPECT_LT(resnet, layers("AlexNet"));
 }
 
 TEST(ChunkPath, ZeroLatencyResubmitKeepsFifoOrder)

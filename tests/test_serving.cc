@@ -3,7 +3,8 @@
  * Unit and end-to-end tests for the inference-serving subsystem:
  * request streams (synthesis determinism, trace round-trips), batch
  * policies, routers, the percentile helper, serving-knob validation,
- * the single-batch == standalone forward-only session guarantee, and
+ * the single-batch == standalone forward-only session guarantee, the
+ * rearmed replica session == fresh per-batch sessions guarantee, and
  * the policy inequalities the ablation demonstrates (continuous
  * batching beats static on the p99 tail at high load; SLO-aware
  * routing beats queue-depth routing under co-located training).
@@ -390,6 +391,110 @@ TEST_F(ServingTest, SingleBatchReproducesForwardOnlySessionExactly)
     EXPECT_DOUBLE_EQ(outcome.pagingSec, result.breakdown.vmemSec);
     // Forward-only still pages: the offload stashes write back.
     EXPECT_GT(outcome.pagingSec, 0.0);
+}
+
+/** One batch through the serving path's session calls. */
+IterationResult
+runReplicaBatch(TrainingSession &session, EventQueue &eq)
+{
+    IterationResult result;
+    bool done = false;
+    session.startIteration([&](const IterationResult &r) {
+        result = r;
+        done = true;
+    });
+    eq.run();
+    EXPECT_TRUE(done);
+    session.releaseBuffers();
+    return result;
+}
+
+TEST_F(ServingTest, RearmedReplicaSessionMatchesFreshSessionsPerBatch)
+{
+    // One replica session rearmed batch after batch must be, result
+    // for result, a forward-only session built fresh for each batch.
+    // Two identical machines run the same batch sequence, so their
+    // shared state (clock, channel counters) stays in step. The HBM is
+    // tight enough that the demand-paged policies evict, and the frame
+    // budget they evict against shrinks as the batch grows.
+    const std::vector<std::int64_t> batches = {1, 4, 1, 3, 8, 2};
+    Simulator networks;
+    const auto net = networks.network("VGG-E");
+    for (PrefetchPolicyKind policy :
+         {PrefetchPolicyKind::StaticPlan, PrefetchPolicyKind::OnDemand,
+          PrefetchPolicyKind::History}) {
+        SCOPED_TRACE(prefetchPolicyToken(policy));
+        Scenario sc;
+        sc.design = SystemDesign::McDlaB;
+        SystemConfig cfg = sc.config();
+        cfg.paging.prefetch = policy;
+        cfg.device.memCapacity = 768 * kMiB;
+
+        EventQueue rearmed_eq;
+        EventQueue fresh_eq;
+        System rearmed_sys(rearmed_eq, cfg);
+        System fresh_sys(fresh_eq, cfg);
+        TrainingSession replica(rearmed_sys, *net,
+                                ParallelMode::DataParallel, 8,
+                                /*pipeline_stages=*/0,
+                                /*microbatches=*/1, std::vector<int>{0},
+                                /*forward_only=*/true);
+        std::uint64_t writebacks = 0;
+        for (std::int64_t batch : batches) {
+            SCOPED_TRACE("batch " + std::to_string(batch));
+            replica.rearm(batch);
+            const IterationResult got =
+                runReplicaBatch(replica, rearmed_eq);
+            TrainingSession fresh(fresh_sys, *net,
+                                  ParallelMode::DataParallel, batch,
+                                  /*pipeline_stages=*/0,
+                                  /*microbatches=*/1,
+                                  std::vector<int>{0},
+                                  /*forward_only=*/true);
+            const IterationResult want =
+                runReplicaBatch(fresh, fresh_eq);
+
+            EXPECT_EQ(got.makespan, want.makespan);
+            EXPECT_EQ(got.breakdown.computeSec,
+                      want.breakdown.computeSec);
+            EXPECT_EQ(got.breakdown.syncSec, want.breakdown.syncSec);
+            EXPECT_EQ(got.breakdown.vmemSec, want.breakdown.vmemSec);
+            EXPECT_EQ(got.breakdown.exposedSyncSec,
+                      want.breakdown.exposedSyncSec);
+            EXPECT_EQ(got.breakdown.exposedVmemSec,
+                      want.breakdown.exposedVmemSec);
+            const PagingCounters &gp = got.paging;
+            const PagingCounters &wp = want.paging;
+            EXPECT_EQ(gp.demandHits, wp.demandHits);
+            EXPECT_EQ(gp.demandMisses, wp.demandMisses);
+            EXPECT_EQ(gp.fills, wp.fills);
+            EXPECT_EQ(gp.demandFills, wp.demandFills);
+            EXPECT_EQ(gp.writebacks, wp.writebacks);
+            EXPECT_EQ(gp.cleanDrops, wp.cleanDrops);
+            EXPECT_EQ(gp.earlyEvictions, wp.earlyEvictions);
+            EXPECT_EQ(gp.stallSec, wp.stallSec);
+            EXPECT_EQ(gp.bytesFilled, wp.bytesFilled);
+            EXPECT_EQ(gp.bytesWrittenBack, wp.bytesWrittenBack);
+            EXPECT_EQ(gp.peakResidentBytes, wp.peakResidentBytes);
+            EXPECT_EQ(got.syncBytes, want.syncBytes);
+            EXPECT_EQ(got.hostBytes, want.hostBytes);
+            ASSERT_EQ(got.channels.size(), want.channels.size());
+            for (std::size_t c = 0; c < got.channels.size(); ++c) {
+                const ChannelUsage &g = got.channels[c];
+                const ChannelUsage &w = want.channels[c];
+                EXPECT_EQ(g.channel, w.channel);
+                EXPECT_EQ(g.bytes, w.bytes) << g.channel;
+                EXPECT_EQ(g.busySec, w.busySec) << g.channel;
+                EXPECT_EQ(g.utilization, w.utilization) << g.channel;
+                EXPECT_EQ(g.peakQueueDepth, w.peakQueueDepth)
+                    << g.channel;
+            }
+            writebacks += gp.writebacks;
+        }
+        // Every policy pages: the static plan writes each stash back,
+        // and the demand-paged ones evict under the tight budget.
+        EXPECT_GT(writebacks, 0u);
+    }
 }
 
 TEST_F(ServingTest, ServingRunsAreReproducible)

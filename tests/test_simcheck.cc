@@ -129,8 +129,7 @@ TEST_F(SimCheckTest, LeakedDmaNamesTheFaultHandler)
     DmaEngine dma_engine(eq, "dma0", fabric->vmemPaths(0));
     VmemRuntime rt(space, dma_engine, PagePolicy::BwAware);
 
-    std::map<LayerId, RemotePtr> remote_ptrs;
-    remote_ptrs.emplace(0, rt.mallocRemote(64 * kMiB));
+    const std::vector<RemotePtr> remote_ptrs{rt.mallocRemote(64 * kMiB)};
     const std::vector<double> wire_bytes{64.0 * kMiB};
     const std::vector<LayerId> group_layer;
     Network net("empty");
